@@ -237,11 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
         help="graceful-shutdown budget for in-flight requests (default: 10)",
     )
-    p_srv.add_argument(
-        "--legacy", action="store_true",
-        help="serve with the threaded http.server front end instead of "
-        "the asyncio one (no admission control or deadlines)",
-    )
 
     p_client = sub.add_parser(
         "client", help="call a running vppb serve instance (with retries)"
@@ -772,7 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.jobs import JobEngine, ResultCache, default_cache_dir
-    from repro.jobs.service import serve
     from repro.jobs.service_async import serve_async
 
     engine = JobEngine(
@@ -780,15 +774,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=ResultCache(args.cache_dir or default_cache_dir()),
     )
     spool_dir = Path(args.spool_dir) if args.spool_dir else None
-    if args.legacy:
-        serve(
-            host=args.host,
-            port=args.port,
-            engine=engine,
-            spool_dir=spool_dir,
-            verbose=not args.quiet,
-        )
-        return 0
     max_body_bytes = (
         int(args.max_body_mb * 1024 * 1024) if args.max_body_mb else None
     )

@@ -15,9 +15,12 @@ layers that exploit that:
 * :mod:`repro.jobs.manifest` / :mod:`repro.jobs.service` /
   :mod:`repro.jobs.service_async` / :mod:`repro.jobs.client` — the user
   surfaces: ``vppb batch`` sweep manifests, the ``vppb serve`` HTTP
-  service (asyncio front end with admission control, deadlines and a
-  circuit breaker — primitives in :mod:`repro.jobs.resilience`), and
-  the retrying ``vppb client``.
+  service (one asyncio front end with admission control, deadlines and
+  a circuit breaker — primitives in :mod:`repro.jobs.resilience` —
+  around the transport-free :class:`PredictionService` core), and the
+  retrying ``vppb client``.  Batch sweeps and ``POST /predict`` share
+  one prediction path, :func:`run_grid`: shared baseline, one job per
+  grid cell, tier escalation (:mod:`repro.jobs.tiering`), decisions.
 
 The analysis sweeps (:func:`repro.analysis.whatif.speedup_curve` and
 friends) route through :func:`default_engine`, so library callers share
@@ -38,7 +41,14 @@ from repro.jobs.fingerprint import (
     lint_job_fingerprint,
     trace_fingerprint,
 )
-from repro.jobs.manifest import BatchReport, ScenarioResult, SweepManifest, run_manifest
+from repro.jobs.manifest import (
+    BatchReport,
+    GridCell,
+    ScenarioResult,
+    SweepManifest,
+    run_grid,
+    run_manifest,
+)
 from repro.jobs.metrics import EngineMetrics
 from repro.jobs.model import AnalyticJob, JobOutcome, LintJob, SimJob, TraceRef
 from repro.jobs.tiering import (
@@ -55,7 +65,7 @@ from repro.jobs.resilience import (
     backoff_delays,
     retry_call,
 )
-from repro.jobs.service import PredictionService, make_server, serve
+from repro.jobs.service import PredictionService
 from repro.jobs.service_async import AsyncPredictionServer, serve_async
 
 __all__ = [
@@ -73,6 +83,7 @@ __all__ = [
     "ClientError",
     "Deadline",
     "EngineMetrics",
+    "GridCell",
     "JobEngine",
     "JobOutcome",
     "LintJob",
@@ -94,10 +105,9 @@ __all__ = [
     "escalation_labels",
     "job_fingerprint",
     "lint_job_fingerprint",
-    "make_server",
     "retry_call",
+    "run_grid",
     "run_manifest",
-    "serve",
     "serve_async",
     "trace_fingerprint",
 ]

@@ -346,7 +346,6 @@ class JobEngine:
         *,
         labels: Optional[Sequence[str]] = None,
         use_cache: bool = True,
-        budget: Optional[Budget] = None,
     ) -> List[JobOutcome]:
         """One job per config over a fixed trace."""
         labels = labels or [""] * len(configs)
@@ -354,7 +353,7 @@ class JobEngine:
             SimJob(trace=trace_ref, config=cfg, label=lbl)
             for cfg, lbl in zip(configs, labels)
         ]
-        return self.run(jobs, use_cache=use_cache, budget=budget)
+        return self.run(jobs, use_cache=use_cache)
 
     def makespan_matrix(
         self,

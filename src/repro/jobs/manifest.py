@@ -38,9 +38,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SimConfig, ThreadPolicy
 from repro.core.errors import AnalysisError, ConfigError
+from repro.core.result import RunStatus
 from repro.core.trace import Trace
-from repro.jobs.engine import JobEngine
-from repro.jobs.model import JobOutcome, SimJob, TraceRef
+from repro.jobs.engine import Budget, JobEngine
+from repro.jobs.model import AnalyticJob, JobOutcome, SimJob, TraceRef
 from repro.jobs.tiering import (
     DEFAULT_TARGET_FRACTION,
     TierCell,
@@ -49,7 +50,15 @@ from repro.jobs.tiering import (
 )
 from repro.program.uniexec import uniprocessor_config
 
-__all__ = ["SweepManifest", "ScenarioResult", "BatchReport", "run_manifest"]
+__all__ = [
+    "BatchReport",
+    "GridCell",
+    "GridRun",
+    "ScenarioResult",
+    "SweepManifest",
+    "run_grid",
+    "run_manifest",
+]
 
 _BINDINGS = ("unbound", "bound")
 
@@ -175,7 +184,7 @@ class SweepManifest:
             * len(self.schedulers)
         )
 
-    def configs(self, trace: Trace) -> List["_Cell"]:
+    def configs(self, trace: Trace) -> List["GridCell"]:
         """Expand the grid; needs the trace for the all-bound policy."""
         tids = [int(t) for t in trace.thread_ids()]
         bound_policies = {t: ThreadPolicy(bound=True) for t in tids}
@@ -185,22 +194,21 @@ class SweepManifest:
                 policies = bound_policies if binding == "bound" else {}
                 for lwps in self.lwps:
                     for delay in self.comm_delays_us:
+                        # one speed-up curve per binding/lwps/comm/scheduler
+                        group = binding
+                        if lwps is not None:
+                            group += f"/lwps={lwps}"
+                        if delay:
+                            group += f"/comm={delay}us"
+                        if scheduler != "solaris":
+                            group += f"/{scheduler}"
                         for cpus in self.cpus:
-                            label = f"{cpus}cpu/{binding}"
-                            if lwps is not None:
-                                label += f"/lwps={lwps}"
-                            if delay:
-                                label += f"/comm={delay}us"
-                            if scheduler != "solaris":
-                                label += f"/{scheduler}"
                             cells.append(
-                                _Cell(
-                                    label=label,
+                                GridCell(
+                                    label=f"{cpus}cpu/{group}",
+                                    group=group,
                                     cpus=cpus,
                                     binding=binding,
-                                    lwps=lwps,
-                                    comm_delay_us=delay,
-                                    scheduler=scheduler,
                                     config=SimConfig(
                                         cpus=cpus,
                                         lwps=lwps,
@@ -214,14 +222,18 @@ class SweepManifest:
 
 
 @dataclass(frozen=True)
-class _Cell:
+class GridCell:
+    """One point of a prediction grid: a config plus how to report it.
+
+    ``group`` names the speed-up curve the cell belongs to (the cpus
+    axis is the curve); knees are decided per group.
+    """
+
     label: str
+    group: str
     cpus: int
     binding: str
-    lwps: Optional[int]
-    comm_delay_us: int
     config: SimConfig
-    scheduler: str = "solaris"
 
 
 @dataclass(frozen=True)
@@ -415,16 +427,179 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _cell_group(cell: _Cell) -> str:
-    """One speed-up curve per binding/lwps/comm/scheduler combination."""
-    group = cell.binding
-    if cell.lwps is not None:
-        group += f"/lwps={cell.lwps}"
-    if cell.comm_delay_us:
-        group += f"/comm={cell.comm_delay_us}us"
-    if cell.scheduler != "solaris":
-        group += f"/{cell.scheduler}"
-    return group
+@dataclass(frozen=True)
+class GridRun:
+    """What :func:`run_grid` found: the baseline, one row per cell, decisions.
+
+    ``baseline_us`` is the speed-up anchor, ``None`` unless the baseline
+    replay completed.
+    """
+
+    baseline: JobOutcome
+    baseline_us: Optional[int]
+    scenarios: List[ScenarioResult]
+    decisions: Dict[str, Any]
+
+
+def run_grid(
+    engine: JobEngine,
+    ref: TraceRef,
+    cells: Sequence[GridCell],
+    *,
+    tier: str = "sim",
+    analytic_profile=None,
+    target_fraction: float = DEFAULT_TARGET_FRACTION,
+    budget: Optional[Budget] = None,
+    use_cache: bool = True,
+) -> GridRun:
+    """Answer every cell of a prediction grid over one trace.
+
+    The one prediction path behind both ``vppb batch`` and ``POST
+    /predict``.  One shared uniprocessor baseline is always simulated:
+    :func:`uniprocessor_config` is invariant across the grid axes
+    (binding, lwps, comm delay, and scheduler — the baseline models the
+    *recorded* Solaris uniprocessor run), so a single job, built from
+    any cell's cost model, anchors every speed-up figure and
+    cross-backend speed-ups stay comparable.
+
+    *tier* selects how cells are answered: ``"sim"`` replays every
+    cell; ``"analytic"`` answers every cell from the closed-form models
+    (needs *analytic_profile*); ``"auto"`` starts analytic and replays
+    exactly the cells whose intervals cannot decide the grid's queries
+    (:func:`escalation_labels`).  The models assume a replay that
+    completes, so once an escalated replay deadlocks, livelocks or
+    diverges, every remaining analytic cell is replayed too.
+
+    Only complete replays (and analytic answers) get a speed-up or
+    enter :func:`decide`; a partial replay's makespan is merely the
+    simulated time reached.  *budget* is the per-call watchdog budget
+    (a request deadline); partial outcomes under it are never cached.
+    """
+    baseline_job = SimJob(
+        trace=ref,
+        config=uniprocessor_config(cells[0].config if cells else None),
+        label="baseline",
+    )
+    if tier == "sim":
+        cell_jobs = [
+            SimJob(trace=ref, config=cell.config, label=cell.label) for cell in cells
+        ]
+    else:
+        cell_jobs = [
+            AnalyticJob(
+                trace=ref,
+                config=cell.config,
+                profile=analytic_profile,
+                label=cell.label,
+            )
+            for cell in cells
+        ]
+    baseline, *outcomes = engine.run(
+        [baseline_job] + cell_jobs, use_cache=use_cache, budget=budget
+    )
+    baseline_us = (
+        baseline.makespan_us if baseline.complete and baseline.makespan_us else None
+    )
+    first_tier = "sim" if tier == "sim" else "analytic"
+    # label -> (outcome, tier, analytic interval)
+    answers = {
+        cell.label: (outcome, first_tier, _interval(outcome))
+        for cell, outcome in zip(cells, outcomes)
+    }
+
+    if tier == "auto" and baseline_us:
+        # failed analytic answers must replay too
+        escalate = {label for label, (_, _, iv) in answers.items() if iv is None}
+        escalate.update(
+            escalation_labels(
+                [
+                    _tier_cell(cell, *answers[cell.label])
+                    for cell in cells
+                    if answers[cell.label][2] is not None
+                ],
+                baseline_us,
+                target_fraction=target_fraction,
+            )
+        )
+        while escalate:
+            to_sim = [cell for cell in cells if cell.label in escalate]
+            sim_outcomes = engine.run(
+                [SimJob(trace=ref, config=c.config, label=c.label) for c in to_sim],
+                use_cache=use_cache,
+                budget=budget,
+            )
+            for cell, outcome in zip(to_sim, sim_outcomes):
+                answers[cell.label] = (outcome, "escalated", answers[cell.label][2])
+            escalate = set()
+            # a replay that stops short on its own (deadlock, livelock,
+            # divergence) breaks the models' premise; one cut short by a
+            # budget says nothing about the trace
+            stopped = {o.status for o in sim_outcomes if o.ok}
+            if stopped - {RunStatus.COMPLETE.value, RunStatus.BUDGET.value}:
+                escalate = {
+                    label for label, (_, t, _) in answers.items() if t == "analytic"
+                }
+    if tier != "sim":
+        engine.metrics.tier_outcome(
+            analytic_hits=sum(
+                1 for o, t, _ in answers.values() if t == "analytic" and o.ok
+            ),
+            escalations=sum(1 for _, t, _ in answers.values() if t == "escalated"),
+        )
+
+    scenarios = []
+    tier_cells = []
+    for cell in cells:
+        outcome, cell_tier, interval = answers[cell.label]
+        answered = outcome.complete and outcome.makespan_us > 0
+        scenarios.append(
+            ScenarioResult(
+                label=cell.label,
+                cpus=cell.cpus,
+                binding=cell.binding,
+                lwps=cell.config.lwps,
+                comm_delay_us=cell.config.comm_delay_us,
+                outcome=outcome,
+                speedup=baseline_us / outcome.makespan_us
+                if answered and baseline_us
+                else None,
+                scheduler=cell.config.scheduler,
+                tier=cell_tier,
+                interval=interval,
+            )
+        )
+        if answered:
+            tier_cells.append(_tier_cell(cell, outcome, cell_tier, interval))
+    return GridRun(
+        baseline=baseline,
+        baseline_us=baseline_us,
+        scenarios=scenarios,
+        decisions=decide(tier_cells, baseline_us, target_fraction=target_fraction),
+    )
+
+
+def _interval(outcome: JobOutcome) -> Optional[Tuple[int, int]]:
+    """An analytic answer's ``(lo, hi)`` makespan bounds (None otherwise)."""
+    if not (outcome.ok and outcome.payload):
+        return None
+    return int(outcome.payload["lo_us"]), int(outcome.payload["hi_us"])
+
+
+def _tier_cell(
+    cell: GridCell, outcome: JobOutcome, tier: str, interval
+) -> TierCell:
+    """A cell as the tiering policy sees it: replays are exact points."""
+    exact = tier != "analytic"
+    lo, hi = (outcome.makespan_us,) * 2 if exact else interval
+    return TierCell(
+        label=cell.label,
+        group=cell.group,
+        cpus=cell.cpus,
+        lo_us=lo,
+        hi_us=hi,
+        point_us=outcome.makespan_us,
+        exact=exact,
+    )
 
 
 def run_manifest(
@@ -438,15 +613,12 @@ def run_manifest(
 ) -> BatchReport:
     """Execute a sweep manifest through *engine* and assemble the report.
 
-    *tier* selects how grid cells are answered: ``"sim"`` replays every
-    cell; ``"analytic"`` answers every cell from the closed-form models
-    (needs *analytic_profile*, an
-    :class:`~repro.analytic.profile.AnalyticProfile`); ``"auto"`` starts
-    analytic and escalates to simulation exactly the cells whose
-    intervals cannot decide the sweep's queries (best cell, per-group
-    knee at *target_fraction* of the group's best speed-up) — decisions
-    then match a full ``"sim"`` run while replaying only the escalated
-    subset.  The uniprocessor baseline is always simulated.
+    *tier* selects how grid cells are answered (see :func:`run_grid`);
+    ``"analytic"`` and ``"auto"`` need *analytic_profile*, an
+    :class:`~repro.analytic.profile.AnalyticProfile`.  Under ``"auto"``
+    the decisions (best cell, per-group knee at *target_fraction* of
+    the group's best speed-up) match a full ``"sim"`` run while
+    replaying only the escalated subset.
     """
     from repro.recorder import logfile
 
@@ -462,143 +634,21 @@ def run_manifest(
 
     trace = logfile.load(manifest.trace_path)
     ref = TraceRef(fingerprint=trace.fingerprint(), path=str(manifest.trace_path))
-    cells = manifest.configs(trace)
-
-    # one shared uniprocessor baseline: uniprocessor_config() is
-    # invariant across the grid axes we expose (binding/lwps/comm
-    # delay, and scheduler — the baseline models the *recorded* Solaris
-    # uniprocessor run), so a single job anchors every speed-up figure
-    # and cross-backend speed-ups stay comparable
-    baseline_job = SimJob(
-        trace=ref, config=uniprocessor_config(SimConfig()), label="baseline"
-    )
-
-    if tier == "sim":
-        jobs = [baseline_job] + [
-            SimJob(trace=ref, config=cell.config, label=cell.label)
-            for cell in cells
-        ]
-        outcomes = engine.run(jobs, use_cache=use_cache)
-        baseline = outcomes[0]
-        cell_outcomes = {
-            cell.label: (outcome, "sim", None)
-            for cell, outcome in zip(cells, outcomes[1:])
-        }
-    else:
-        from repro.jobs.model import AnalyticJob
-
-        jobs = [baseline_job] + [
-            AnalyticJob(
-                trace=ref,
-                config=cell.config,
-                profile=analytic_profile,
-                label=cell.label,
-            )
-            for cell in cells
-        ]
-        outcomes = engine.run(jobs, use_cache=use_cache)
-        baseline = outcomes[0]
-        cell_outcomes = {}
-        for cell, outcome in zip(cells, outcomes[1:]):
-            interval = None
-            if outcome.ok and outcome.payload:
-                interval = (
-                    int(outcome.payload["lo_us"]),
-                    int(outcome.payload["hi_us"]),
-                )
-            cell_outcomes[cell.label] = (outcome, "analytic", interval)
-
-        if tier == "auto" and baseline.ok and baseline.makespan_us:
-            tier_cells = []
-            undecidable = []  # failed analytic answers must replay too
-            for cell in cells:
-                outcome, _, interval = cell_outcomes[cell.label]
-                if interval is None:
-                    undecidable.append(cell.label)
-                    continue
-                tier_cells.append(
-                    TierCell(
-                        label=cell.label,
-                        group=_cell_group(cell),
-                        cpus=cell.cpus,
-                        lo_us=interval[0],
-                        hi_us=interval[1],
-                        point_us=outcome.makespan_us,
-                        exact=False,
-                    )
-                )
-            escalate = set(undecidable) | set(
-                escalation_labels(
-                    tier_cells,
-                    baseline.makespan_us,
-                    target_fraction=target_fraction,
-                )
-            )
-            to_sim = [cell for cell in cells if cell.label in escalate]
-            if to_sim:
-                sim_outcomes = engine.run(
-                    [
-                        SimJob(trace=ref, config=cell.config, label=cell.label)
-                        for cell in to_sim
-                    ],
-                    use_cache=use_cache,
-                )
-                for cell, outcome in zip(to_sim, sim_outcomes):
-                    interval = cell_outcomes[cell.label][2]
-                    cell_outcomes[cell.label] = (outcome, "escalated", interval)
-        engine.metrics.tier_outcome(
-            analytic_hits=sum(
-                1 for o, t, _ in cell_outcomes.values() if t == "analytic" and o.ok
-            ),
-            escalations=sum(
-                1 for _, t, _ in cell_outcomes.values() if t == "escalated"
-            ),
-        )
-
-    baseline_us = baseline.makespan_us if baseline.ok else None
-    scenarios = []
-    tier_cells_final = []
-    for cell in cells:
-        outcome, cell_tier, interval = cell_outcomes[cell.label]
-        speedup = None
-        if outcome.ok and baseline_us and outcome.makespan_us:
-            speedup = baseline_us / outcome.makespan_us
-        scenarios.append(
-            ScenarioResult(
-                label=cell.label,
-                cpus=cell.cpus,
-                binding=cell.binding,
-                lwps=cell.lwps,
-                comm_delay_us=cell.comm_delay_us,
-                outcome=outcome,
-                speedup=speedup,
-                scheduler=cell.scheduler,
-                tier=cell_tier,
-                interval=interval,
-            )
-        )
-        if outcome.ok and outcome.makespan_us:
-            exact = cell_tier != "analytic"
-            tier_cells_final.append(
-                TierCell(
-                    label=cell.label,
-                    group=_cell_group(cell),
-                    cpus=cell.cpus,
-                    lo_us=interval[0] if (interval and not exact) else outcome.makespan_us,
-                    hi_us=interval[1] if (interval and not exact) else outcome.makespan_us,
-                    point_us=outcome.makespan_us,
-                    exact=exact,
-                )
-            )
-    decisions = decide(
-        tier_cells_final, baseline_us, target_fraction=target_fraction
+    grid = run_grid(
+        engine,
+        ref,
+        manifest.configs(trace),
+        tier=tier,
+        analytic_profile=analytic_profile,
+        target_fraction=target_fraction,
+        use_cache=use_cache,
     )
     return BatchReport(
         program=trace.meta.program,
         trace_fingerprint=ref.fingerprint,
-        baseline_us=baseline_us,
-        scenarios=scenarios,
+        baseline_us=grid.baseline_us,
+        scenarios=grid.scenarios,
         metrics=engine.snapshot(),
         tier=tier,
-        decisions=decisions,
+        decisions=grid.decisions,
     )

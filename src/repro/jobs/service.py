@@ -1,22 +1,21 @@
-"""The prediction-service core, plus the legacy threaded front end.
+"""The prediction-service core behind ``vppb serve``.
 
 :class:`PredictionService` owns everything transport-independent —
 trace spool, request parsing, the deadline/breaker-aware ``predict``
-path, error envelopes, counters — and is shared by both front ends:
-the asyncio server in :mod:`repro.jobs.service_async` (the ``vppb
-serve`` default: admission control, streaming ingest, graceful drain)
-and the stdlib ``http.server`` one kept here (``vppb serve --legacy``).
-Because the core is shared, both speak identical HTTP: same status
-codes, same JSON bodies, same ``Retry-After`` semantics.
+path, error envelopes, counters.  The asyncio front end in
+:mod:`repro.jobs.service_async` (admission control, streaming ingest,
+graceful drain) is the one transport that serves it.  ``predict``
+answers through :func:`repro.jobs.manifest.run_grid`, the same grid
+runner ``vppb batch`` uses, so a request and a one-curve sweep give the
+same makespans and speed-ups.
 
 API (all bodies JSON unless noted):
 
 ``POST /traces``
-    Body: a raw VPPB log file.  Parses it (400 on malformed logs),
-    spools it under its content fingerprint, returns
-    ``{"trace": <fingerprint>, "events": n, "threads": n}``.  Uploading
-    the same trace twice is idempotent.  (The async front end parses
-    this leniently via salvage, and streams.)
+    Body: a raw VPPB log file, streamed and salvage-parsed (400 only
+    when nothing is replayable), spooled under its content fingerprint;
+    returns ``{"trace": <fingerprint>, "events": n, "threads": n, ...}``
+    plus repair counts.  Uploading the same trace twice is idempotent.
 ``POST /predict``
     Body: ``{"trace": <fingerprint>}`` (previously uploaded) or
     ``{"log": <raw log text>}`` (one-shot), plus optional ``cpus``
@@ -24,17 +23,18 @@ API (all bodies JSON unless noted):
     ``binding`` (``"unbound"``/``"bound"``) and ``scheduler`` (a
     backend name, default ``"solaris"``).  Returns the speed-up
     predictions; repeated requests are served from the result cache.
-    With a deadline (``deadline_s`` key, or front-end default), expiry
-    returns 504 carrying a partial-result envelope.
     Optional ``tier`` (``"sim"`` default / ``"analytic"`` / ``"auto"``)
     answers cells from the calibrated analytic screen instead of — or,
     for ``auto``, in front of — full simulation; needs the stock
     calibration profile (``vppb calibrate-analytic``).  Tiered
     responses add per-cell ``tier``/``interval`` fields and a
-    ``decisions`` block (best cell, per-group knee at the optional
-    ``target`` fraction).  A tiered request's deadline covers its
-    simulated cells (baseline + escalations) exactly like ``tier=sim``;
-    analytic cells are arithmetic and never time out.
+    ``decisions`` block (best cell, knee at the optional ``target``
+    fraction).  With a deadline (``deadline_s`` key, or front-end
+    default) every simulated cell runs under it; analytic cells are
+    arithmetic and never time out.  A cell the deadline cut short
+    answers 504 with a partial-result envelope; a cell that came back
+    partial for any other reason (deadlock, livelock, divergence) is a
+    422 naming the cell and its status.
 ``POST /lint``
     Body: ``{"trace": <fingerprint>}`` or ``{"log": <raw text>}``, plus
     optional ``select``/``ignore`` rule lists and an optional ``whatif``
@@ -48,22 +48,23 @@ API (all bodies JSON unless noted):
     completed/failed, cache hit rate, latency percentiles, breaker
     state, shed/deadline/body-cap counts, lint requests/probes).
 ``GET /healthz``
-    Liveness probe.  (Readiness lives on the async front end.)
+    Liveness probe (``/healthz/ready`` reports readiness).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SimConfig, ThreadPolicy
 from repro.core.errors import ConfigError, VppbError
+from repro.core.result import RunStatus
 from repro.jobs.engine import JobEngine
+from repro.jobs.manifest import GridCell, GridRun, run_grid
 from repro.jobs.model import JobOutcome, TraceRef
+from repro.jobs.tiering import DEFAULT_TARGET_FRACTION
 
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
@@ -71,8 +72,6 @@ __all__ = [
     "PredictionService",
     "ServiceError",
     "default_max_body_bytes",
-    "make_server",
-    "serve",
 ]
 
 #: Default request-body cap; a §4-sized log is ~15 MB.
@@ -138,10 +137,9 @@ class DeadlineExceeded(ServiceError):
 class PredictionService:
     """The service state: an engine, a trace spool, request counters.
 
-    Shared by both front ends — the legacy threaded server below and
-    the asyncio server in :mod:`repro.jobs.service_async` — so HTTP
-    semantics (status codes, error bodies, deadline envelopes) are
-    identical regardless of transport.
+    Transport-free: it speaks in request dicts, response dicts and
+    :class:`ServiceError` (status code + JSON body), and the asyncio
+    server in :mod:`repro.jobs.service_async` puts it on the wire.
     """
 
     def __init__(
@@ -182,22 +180,6 @@ class PredictionService:
         with self._lock:
             self._traces[ref.fingerprint] = path
         return path
-
-    def store_trace(self, text: str) -> Dict[str, Any]:
-        from repro.recorder import logfile
-
-        try:
-            trace = logfile.loads(text)
-        except VppbError as exc:
-            raise ServiceError(400, f"malformed log: {exc}")
-        ref = TraceRef.from_trace(trace)
-        self._spool(ref, text)
-        return {
-            "trace": ref.fingerprint,
-            "events": len(trace),
-            "threads": len(trace.thread_ids()),
-            "program": trace.meta.program,
-        }
 
     def store_salvaged(self, result) -> Dict[str, Any]:
         """Spool a streamed-and-salvaged upload (a :class:`SalvageResult`).
@@ -254,7 +236,8 @@ class PredictionService:
 
     def _parse_predict(
         self, request: Dict[str, Any], trace
-    ) -> Tuple[List[int], str, SimConfig]:
+    ) -> Tuple[str, List[GridCell]]:
+        """The request's binding and its grid: one cell per CPU count."""
         cpus = request.get("cpus", [2, 4, 8])
         if not isinstance(cpus, list) or not cpus:
             raise ServiceError(400, "'cpus' must be a non-empty list")
@@ -277,9 +260,18 @@ class PredictionService:
                 thread_policies=policies,
                 scheduler=request.get("scheduler", "solaris"),
             )
+            return binding, [
+                GridCell(
+                    label=f"{n}cpu",
+                    group=binding,
+                    cpus=n,
+                    binding=binding,
+                    config=base.with_cpus(n),
+                )
+                for n in cpus
+            ]
         except (ConfigError, TypeError, ValueError) as exc:
             raise ServiceError(400, f"bad configuration: {exc}")
-        return cpus, binding, base
 
     def analytic_profile(self):
         """The calibration profile backing tiered requests, or a 400.
@@ -326,130 +318,123 @@ class PredictionService:
     ) -> Dict[str, Any]:
         """Answer one prediction request.
 
-        With *deadline_s* set, every simulation cell runs under a
-        watchdog wall budget of the remaining deadline; cells the
-        watchdog had to cut short surface as a
-        :class:`DeadlineExceeded` (HTTP 504) carrying the partial
-        envelope rather than a silent half-answer.
+        One grid cell per requested CPU count, labelled ``<n>cpu`` on
+        one speed-up curve (the request's binding), answered by
+        :func:`repro.jobs.manifest.run_grid` — the same path as ``vppb
+        batch``.  With *deadline_s* set, every simulated cell runs under
+        a watchdog wall budget of the deadline; see :meth:`_answer` for
+        how outcomes map to HTTP.
         """
         ref, trace = self._resolve_trace(request)
-        cpus, binding, base = self._parse_predict(request, trace)
+        binding, cells = self._parse_predict(request, trace)
         tier = request.get("tier", "sim")
         if tier not in ("sim", "analytic", "auto"):
             raise ServiceError(
                 400, f"unknown tier {tier!r}: expected 'sim', 'analytic' or 'auto'"
             )
-        self.check_breaker()
-        if tier != "sim":
-            return self._predict_tiered(
-                ref, trace, cpus, binding, base, tier, request, deadline_s
-            )
-        if deadline_s is None:
-            try:
-                predictions = self.engine.predict_speedups(
-                    trace, cpus, base_config=base, trace_ref=ref
-                )
-            except VppbError as exc:
-                raise ServiceError(422, f"prediction failed: {exc}")
-            return {
-                "trace": ref.fingerprint,
-                "program": trace.meta.program,
-                "binding": binding,
-                "predictions": [
-                    {
-                        "cpus": p.cpus,
-                        "speedup": round(p.speedup, 6),
-                        "makespan_us": p.makespan_us,
-                        "uniprocessor_us": p.uniprocessor_us,
-                    }
-                    for p in predictions
-                ],
-            }
-        return self._predict_with_deadline(
-            ref, trace, cpus, binding, base, deadline_s
-        )
-
-    def _predict_with_deadline(
-        self, ref, trace, cpus, binding, base, deadline_s
-    ) -> Dict[str, Any]:
-        from repro.program.uniexec import uniprocessor_config
-
-        if deadline_s <= 0:
+        if deadline_s is not None and deadline_s <= 0:
             raise ServiceError(400, f"bad deadline {deadline_s!r}: must be > 0")
-        configs = [uniprocessor_config(base)] + [base.with_cpus(n) for n in cpus]
-        labels = ["baseline"] + [f"{n}cpu" for n in cpus]
-        max_events = self.engine.job_budget[0]
-        outcomes = self.engine.makespans(
-            ref, configs, labels=labels, budget=(max_events, deadline_s)
+        target, profile = DEFAULT_TARGET_FRACTION, None
+        if tier != "sim":
+            target = request.get("target", DEFAULT_TARGET_FRACTION)
+            try:
+                target = float(target)
+            except (TypeError, ValueError):
+                raise ServiceError(400, f"bad 'target' {target!r}: must be a number")
+            if not 0.0 < target <= 1.0:
+                raise ServiceError(400, f"bad 'target' {target!r}: must be in (0, 1]")
+            profile = self.analytic_profile()
+        self.check_breaker()
+
+        grid = run_grid(
+            self.engine,
+            ref,
+            cells,
+            tier=tier,
+            analytic_profile=profile,
+            target_fraction=target,
+            budget=(
+                (self.engine.job_budget[0], deadline_s)
+                if deadline_s is not None
+                else None
+            ),
         )
-        broken = [o for o in outcomes if not o.ok]
-        if broken:
-            rejected = [
-                o for o in broken if o.status == JobOutcome.BREAKER_OPEN
-            ]
-            if rejected:
-                # While half-open the breaker admits a single probe, so
-                # the other grid cells come back BREAKER_OPEN even when
-                # the probe succeeds (closing the breaker).  That is a
-                # transient refusal, never a client error: always answer
-                # 503 + Retry-After so the client retries the full grid.
-                self.check_breaker()  # raises with the live cooldown while open
-                breaker = self.engine.breaker
-                raise ServiceError(
-                    503,
-                    "service unavailable: circuit breaker refused "
-                    + ", ".join(o.label for o in rejected)
-                    + " while recovering from worker crashes; retry shortly",
-                    retry_after_s=1.0,
-                    extra=(
-                        {"breaker": breaker.snapshot()}
-                        if breaker is not None
-                        else None
-                    ),
-                )
-            raise ServiceError(
-                422,
-                "prediction failed: "
-                + "; ".join(f"{o.label}: {o.error}" for o in broken),
-            )
-        baseline, rest = outcomes[0], outcomes[1:]
-        partial_cells = [o for o in outcomes if not o.complete]
-        if not partial_cells:
-            return {
-                "trace": ref.fingerprint,
-                "program": trace.meta.program,
-                "binding": binding,
-                "predictions": [
-                    {
-                        "cpus": n,
-                        "speedup": round(baseline.makespan_us / o.makespan_us, 6)
-                        if o.makespan_us
-                        else None,
-                        "makespan_us": o.makespan_us,
-                        "uniprocessor_us": baseline.makespan_us,
-                    }
-                    for n, o in zip(cpus, rest)
-                ],
-            }
-        # the watchdog salvaged at least one cell: 504 + what we have
-        with self._lock:
-            self.deadline_timeouts += 1
-        envelope: Dict[str, Any] = {
+        body = {
             "trace": ref.fingerprint,
             "program": trace.meta.program,
             "binding": binding,
-            "deadline_s": deadline_s,
-            "predictions": [
-                {
-                    "cpus": n,
-                    "speedup": round(baseline.makespan_us / o.makespan_us, 6),
-                    "makespan_us": o.makespan_us,
-                    "uniprocessor_us": baseline.makespan_us,
-                }
-                for n, o in zip(cpus, rest)
-                if o.complete and baseline.complete and o.makespan_us
-            ],
-            "incomplete": [
+        }
+        if tier != "sim":
+            body["tier"] = tier
+        return self._answer(grid, body, deadline_s)
+
+    def _answer(
+        self, grid: GridRun, body: Dict[str, Any], deadline_s: Optional[float]
+    ) -> Dict[str, Any]:
+        """Map a grid's outcomes to HTTP, in this order.
+
+        503 when the breaker refused any cell; 422 when a cell failed
+        or came back partial for any reason but the request's own
+        deadline; 504 with a partial envelope when a deadline was set
+        and every partial cell stopped on ``budget-exhausted``; else
+        200: *body* (the response head, with ``tier`` when tiered) plus
+        one prediction per cell.
+        """
+        outcomes = [grid.baseline] + [s.outcome for s in grid.scenarios]
+        refused = [o for o in outcomes if o.status == JobOutcome.BREAKER_OPEN]
+        if refused:
+            # While half-open the breaker admits a single probe, so the
+            # other grid cells come back BREAKER_OPEN even when the
+            # probe succeeds (closing the breaker).  That is a transient
+            # refusal, never a client error: always answer 503 +
+            # Retry-After so the client retries the full grid.
+            self.check_breaker()  # raises with the live cooldown while open
+            breaker = self.engine.breaker
+            raise ServiceError(
+                503,
+                "service unavailable: circuit breaker refused "
+                + ", ".join(o.label for o in refused)
+                + " while recovering from worker crashes; retry shortly",
+                retry_after_s=1.0,
+                extra={"breaker": breaker.snapshot()} if breaker is not None else None,
+            )
+        failed = [o for o in outcomes if not o.ok]
+        if failed:
+            raise ServiceError(
+                422,
+                "prediction failed: "
+                + "; ".join(f"{o.label}: {o.error}" for o in failed),
+            )
+
+        tiered = "tier" in body
+        predictions = []
+        for s in grid.scenarios:
+            entry = {
+                "cpus": s.cpus,
+                "speedup": round(s.speedup, 6) if s.speedup is not None else None,
+                "makespan_us": s.outcome.makespan_us,
+                "uniprocessor_us": grid.baseline.makespan_us,
+            }
+            if tiered:
+                entry["tier"] = s.tier
+                entry["interval"] = list(s.interval) if s.interval else None
+            predictions.append(entry)
+
+        partial = [o for o in outcomes if not o.complete]
+        if partial:
+            budget = RunStatus.BUDGET.value
+            if deadline_s is None or any(o.status != budget for o in partial):
+                raise ServiceError(
+                    422,
+                    "prediction failed: "
+                    # a partial outcome's reason leads with its status
+                    + "; ".join(f"{o.label}: {o.reason or o.status}" for o in partial),
+                )
+            with self._lock:
+                self.deadline_timeouts += 1
+            body["deadline_s"] = deadline_s
+            body["predictions"] = [p for p in predictions if p["speedup"] is not None]
+            body["incomplete"] = [
                 {
                     "label": o.label,
                     "status": o.status,
@@ -457,224 +442,17 @@ class PredictionService:
                     "simulated_us": o.makespan_us,
                     "engine_events": o.engine_events,
                 }
-                for o in partial_cells
-            ],
-        }
-        raise DeadlineExceeded(
-            f"deadline of {deadline_s}s exceeded; "
-            f"{len(partial_cells)}/{len(outcomes)} cells salvaged as partial",
-            partial=envelope,
-        )
-
-    def _predict_tiered(
-        self, ref, trace, cpus, binding, base, tier, request, deadline_s
-    ) -> Dict[str, Any]:
-        """Tiered ``/predict``: analytic intervals, simulate only to decide.
-
-        The baseline is always simulated (every speed-up divides by it);
-        grid cells are answered analytically and, under ``tier=auto``,
-        escalated to simulation only where the intervals cannot decide
-        the best-cell and knee queries (:mod:`repro.jobs.tiering`).  A
-        deadline applies to the simulated cells just like ``tier=sim``:
-        timed-out cells surface as a 504 partial envelope.
-        """
-        from repro.jobs.model import AnalyticJob
-        from repro.jobs.tiering import (
-            DEFAULT_TARGET_FRACTION,
-            TierCell,
-            decide,
-            escalation_labels,
-        )
-        from repro.program.uniexec import uniprocessor_config
-
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServiceError(400, f"bad deadline {deadline_s!r}: must be > 0")
-        target = request.get("target", DEFAULT_TARGET_FRACTION)
-        try:
-            target = float(target)
-        except (TypeError, ValueError):
-            raise ServiceError(400, f"bad 'target' {target!r}: must be a number")
-        if not 0.0 < target <= 1.0:
-            raise ServiceError(400, f"bad 'target' {target!r}: must be in (0, 1]")
-        profile = self.analytic_profile()
-
-        budget = (
-            (self.engine.job_budget[0], deadline_s) if deadline_s is not None else None
-        )
-        baseline_job_outcomes = self.engine.makespans(
-            ref, [uniprocessor_config(base)], labels=["baseline"], budget=budget
-        )
-        baseline = baseline_job_outcomes[0]
-        if not baseline.ok:
-            raise ServiceError(422, f"prediction failed: baseline: {baseline.error}")
-        if not baseline.complete:
-            with self._lock:
-                self.deadline_timeouts += 1
+                for o in partial
+            ]
             raise DeadlineExceeded(
-                f"deadline of {deadline_s}s exceeded while replaying the "
-                "uniprocessor baseline; no cells answered",
-                partial={
-                    "trace": ref.fingerprint,
-                    "program": trace.meta.program,
-                    "binding": binding,
-                    "deadline_s": deadline_s,
-                    "predictions": [],
-                    "incomplete": [
-                        {
-                            "label": baseline.label,
-                            "status": baseline.status,
-                            "reason": baseline.reason,
-                            "simulated_us": baseline.makespan_us,
-                            "engine_events": baseline.engine_events,
-                        }
-                    ],
-                },
+                f"deadline of {deadline_s}s exceeded; "
+                f"{len(partial)}/{len(outcomes)} cells salvaged as partial",
+                partial=body,
             )
-
-        ana_jobs = [
-            AnalyticJob(
-                trace=ref,
-                config=base.with_cpus(n),
-                profile=profile,
-                label=f"{n}cpu",
-            )
-            for n in cpus
-        ]
-        ana_outcomes = self.engine.run(ana_jobs)
-        cells: Dict[str, Dict[str, Any]] = {}
-        tier_cells: List[TierCell] = []
-        for n, outcome in zip(cpus, ana_outcomes):
-            if not outcome.ok:
-                raise ServiceError(
-                    422, f"prediction failed: {outcome.label}: {outcome.error}"
-                )
-            lo = int(outcome.payload["lo_us"])
-            hi = int(outcome.payload["hi_us"])
-            cells[outcome.label] = {
-                "cpus": n,
-                "makespan_us": outcome.makespan_us,
-                "tier": "analytic",
-                "interval": [lo, hi],
-            }
-            tier_cells.append(
-                TierCell(
-                    label=outcome.label,
-                    group=binding,
-                    cpus=n,
-                    lo_us=lo,
-                    hi_us=hi,
-                    point_us=outcome.makespan_us,
-                    exact=False,
-                )
-            )
-
-        escalated: List[str] = []
-        if tier == "auto":
-            escalated = escalation_labels(
-                tier_cells, baseline.makespan_us, target_fraction=target
-            )
-            if escalated:
-                by_label = {f"{n}cpu": n for n in cpus}
-                sim_outcomes = self.engine.makespans(
-                    ref,
-                    [base.with_cpus(by_label[lbl]) for lbl in escalated],
-                    labels=escalated,
-                    budget=budget,
-                )
-                broken = [o for o in sim_outcomes if not o.ok]
-                if broken:
-                    raise ServiceError(
-                        422,
-                        "prediction failed: "
-                        + "; ".join(f"{o.label}: {o.error}" for o in broken),
-                    )
-                partial = [o for o in sim_outcomes if not o.complete]
-                if partial:
-                    with self._lock:
-                        self.deadline_timeouts += 1
-                    raise DeadlineExceeded(
-                        f"deadline of {deadline_s}s exceeded while escalating "
-                        f"{len(partial)}/{len(escalated)} undecidable cells",
-                        partial={
-                            "trace": ref.fingerprint,
-                            "program": trace.meta.program,
-                            "binding": binding,
-                            "deadline_s": deadline_s,
-                            "predictions": [
-                                dict(
-                                    cells[lbl],
-                                    speedup=round(
-                                        baseline.makespan_us
-                                        / cells[lbl]["makespan_us"],
-                                        6,
-                                    )
-                                    if cells[lbl]["makespan_us"]
-                                    else None,
-                                    uniprocessor_us=baseline.makespan_us,
-                                )
-                                for lbl in cells
-                            ],
-                            "incomplete": [
-                                {
-                                    "label": o.label,
-                                    "status": o.status,
-                                    "reason": o.reason,
-                                    "simulated_us": o.makespan_us,
-                                    "engine_events": o.engine_events,
-                                }
-                                for o in partial
-                            ],
-                        },
-                    )
-                for outcome in sim_outcomes:
-                    cell = cells[outcome.label]
-                    cell["makespan_us"] = outcome.makespan_us
-                    cell["tier"] = "escalated"
-        self.engine.metrics.tier_outcome(
-            analytic_hits=len(cells) - len(escalated),
-            escalations=len(escalated),
-        )
-
-        final_cells = [
-            TierCell(
-                label=lbl,
-                group=binding,
-                cpus=cell["cpus"],
-                lo_us=cell["makespan_us"]
-                if cell["tier"] == "escalated"
-                else cell["interval"][0],
-                hi_us=cell["makespan_us"]
-                if cell["tier"] == "escalated"
-                else cell["interval"][1],
-                point_us=cell["makespan_us"],
-                exact=cell["tier"] == "escalated",
-            )
-            for lbl, cell in cells.items()
-        ]
-        return {
-            "trace": ref.fingerprint,
-            "program": trace.meta.program,
-            "binding": binding,
-            "tier": tier,
-            "predictions": [
-                {
-                    "cpus": cell["cpus"],
-                    "speedup": round(
-                        baseline.makespan_us / cell["makespan_us"], 6
-                    )
-                    if cell["makespan_us"]
-                    else None,
-                    "makespan_us": cell["makespan_us"],
-                    "uniprocessor_us": baseline.makespan_us,
-                    "tier": cell["tier"],
-                    "interval": cell["interval"],
-                }
-                for cell in cells.values()
-            ],
-            "decisions": decide(
-                final_cells, baseline.makespan_us, target_fraction=target
-            ),
-        }
+        body["predictions"] = predictions
+        if tiered:
+            body["decisions"] = grid.decisions
+        return body
 
     def lint(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one lint request, optionally predictive.
@@ -755,126 +533,3 @@ class PredictionService:
     def count_rejected_body(self) -> None:
         with self._lock:
             self.bodies_rejected += 1
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server: "_Server"
-
-    # -- plumbing -------------------------------------------------------
-
-    def log_message(self, fmt: str, *args) -> None:  # quiet by default
-        if self.server.verbose:
-            super().log_message(fmt, *args)
-
-    def _read_body(self) -> bytes:
-        cap = self.server.service.max_body_bytes
-        raw = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(raw)
-        except ValueError:
-            raise ServiceError(400, f"bad Content-Length: {raw!r}")
-        if length < 0:
-            raise ServiceError(400, f"bad Content-Length: {raw!r}")
-        if length > cap:
-            self.server.service.count_rejected_body()
-            raise ServiceError(
-                413, f"body of {length} bytes exceeds the {cap}-byte cap"
-            )
-        return self.rfile.read(length)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        *,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after_s is not None:
-            self.send_header("Retry-After", str(max(1, round(retry_after_s))))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _dispatch(self, method: str) -> None:
-        service = self.server.service
-        try:
-            if method == "GET" and self.path == "/healthz":
-                self._send_json(200, {"status": "ok"})
-            elif method == "GET" and self.path == "/metrics":
-                self._send_json(200, service.metrics())
-            elif method == "POST" and self.path == "/traces":
-                text = self._read_body().decode("utf-8", errors="replace")
-                self._send_json(200, service.store_trace(text))
-            elif method == "POST" and self.path == "/predict":
-                try:
-                    request = json.loads(self._read_body() or b"{}")
-                except ValueError as exc:
-                    raise ServiceError(400, f"body is not valid JSON: {exc}")
-                self._send_json(200, service.predict(request))
-            elif method == "POST" and self.path == "/lint":
-                try:
-                    request = json.loads(self._read_body() or b"{}")
-                except ValueError as exc:
-                    raise ServiceError(400, f"body is not valid JSON: {exc}")
-                self._send_json(200, service.lint(request))
-            else:
-                raise ServiceError(404, f"no such endpoint: {method} {self.path}")
-        except ServiceError as exc:
-            service.count_request(error=True)
-            self._send_json(exc.status, exc.body(), retry_after_s=exc.retry_after_s)
-            return
-        service.count_request(error=False)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address, service: PredictionService, *, verbose: bool = False):
-        self.service = service
-        self.verbose = verbose
-        super().__init__(address, _Handler)
-
-
-def make_server(
-    service: PredictionService,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8123,
-    verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """Bind the service (``port=0`` picks a free port; see ``server_port``)."""
-    return _Server((host, port), service, verbose=verbose)
-
-
-def serve(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8123,
-    engine: Optional[JobEngine] = None,
-    spool_dir: Optional[Path] = None,
-    verbose: bool = True,
-) -> None:
-    """Run the service until interrupted (the ``vppb serve`` entry point)."""
-    engine = engine or JobEngine()
-    service = PredictionService(engine, spool_dir=spool_dir)
-    server = make_server(service, host=host, port=port, verbose=verbose)
-    print(
-        f"vppb serve: listening on http://{host}:{server.server_port} "
-        f"({engine.mode} engine, {engine.workers} workers); Ctrl-C to stop"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("vppb serve: shutting down")
-    finally:
-        server.server_close()
-        engine.close()

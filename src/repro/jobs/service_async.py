@@ -1,12 +1,12 @@
 """The asyncio front end: resilient HTTP serving over the job engine.
 
-This is the production face of ``vppb serve``.  It speaks HTTP/1.1
-directly over :func:`asyncio.start_server` (stdlib only — no aiohttp)
-and layers the :mod:`repro.jobs.resilience` primitives around the same
-:class:`~repro.jobs.service.PredictionService` core the legacy threaded
-server uses, so both front ends return byte-identical envelopes.
+This is ``vppb serve``'s one front end.  It speaks HTTP/1.1 directly
+over :func:`asyncio.start_server` (stdlib only — no aiohttp) and layers
+the :mod:`repro.jobs.resilience` primitives around the transport-free
+:class:`~repro.jobs.service.PredictionService` core, which owns request
+parsing, the prediction path and every error envelope.
 
-What the event loop adds over the threaded server:
+What the event loop adds around the core:
 
 *Admission control.*  ``/predict`` passes through a bounded
 :class:`~repro.jobs.resilience.AdmissionGate`; past the watermark the
@@ -50,11 +50,7 @@ from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.jobs.engine import JobEngine
 from repro.jobs.resilience import AdmissionGate
-from repro.jobs.service import (
-    DeadlineExceeded,
-    PredictionService,
-    ServiceError,
-)
+from repro.jobs.service import PredictionService, ServiceError
 
 __all__ = ["AsyncPredictionServer", "BackgroundServer", "serve_async"]
 
@@ -314,9 +310,6 @@ class AsyncPredictionServer:
         try:
             try:
                 status, payload, retry_after = await self._route(request, reader)
-            except DeadlineExceeded as exc:
-                error = True
-                status, payload, retry_after = exc.status, exc.body(), None
             except ServiceError as exc:
                 error = True
                 status, payload, retry_after = exc.status, exc.body(), exc.retry_after_s

@@ -3,9 +3,9 @@
 The analytical tier (:mod:`repro.analytic`) answers a grid cell with a
 calibrated ``[lo, hi]`` makespan interval in microseconds of compute; the
 simulator answers with an exact point at replay cost.  This module holds
-the policy glueing them together, used identically by ``vppb batch
---tier auto`` (:func:`repro.jobs.manifest.run_manifest`) and the
-service's ``POST /predict``:
+the policy glueing them together; :func:`repro.jobs.manifest.run_grid`
+applies it, and is the one prediction path behind both ``vppb batch
+--tier auto`` and the service's ``POST /predict``:
 
 1. the **baseline** (uniprocessor replay) is always simulated — every
    speed-up figure divides by it, so an interval there would poison
@@ -17,6 +17,11 @@ service's ``POST /predict``:
    and only those are replayed;
 4. :func:`decide` then produces decisions **provably identical** to a
    fully simulated grid.
+
+Only complete replays are exact: a partial one (deadlock, budget, ...)
+gets no speed-up and never reaches :func:`decide`, and since the models
+assume replays that complete, ``run_grid`` replays every remaining
+analytic cell once an escalated replay deadlocks, livelocks or diverges.
 
 Why the guarantee holds (given intervals that bracket the true
 makespan, which calibration enforces on its suite): a cell is only left

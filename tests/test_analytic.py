@@ -338,6 +338,56 @@ class TestTierEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# partial replays: never a speed-up, never a decision
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def racy_log(tmp_path_factory):
+    from repro.workloads.prodcons import make_racy
+
+    path = tmp_path_factory.mktemp("racy") / "racy.log"
+    logfile.dump(record_program(make_racy()).trace, path)
+    return path
+
+
+class TestPartialReplays:
+    """The racy producer/consumer deadlocks on almost every multi-CPU
+    cell; a deadlocked cell's makespan is only the simulated time
+    reached, so it must never win the grid or set a knee."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, racy_log, profile, engine):
+        manifest = SweepManifest.from_dict(
+            {
+                "trace": str(racy_log),
+                "cpus": {"min": 1, "max": 8},
+                "bindings": ["unbound", "bound"],
+                "schedulers": ["solaris", "cfs", "clutch"],
+            }
+        )
+        sim = run_manifest(manifest, engine, tier="sim")
+        auto = run_manifest(manifest, engine, tier="auto", analytic_profile=profile)
+        return sim, auto
+
+    def test_partial_cells_get_no_speedup(self, reports):
+        for report in reports:
+            partial = [s for s in report.scenarios if not s.outcome.complete]
+            assert len(partial) > len(report.scenarios) // 2
+            assert all(s.speedup is None for s in partial)
+
+    def test_decisions_come_from_complete_replays(self, reports):
+        sim, auto = reports
+        assert sim.decisions["best"] == "1cpu/unbound"
+        assert sim.decisions["best_speedup"] < 2.0
+        assert auto.decisions == sim.decisions
+
+    def test_auto_replays_every_cell_once_an_escalation_deadlocks(self, reports):
+        _, auto = reports
+        assert {s.tier for s in auto.scenarios} == {"escalated"}
+
+
+# ---------------------------------------------------------------------------
 # analytic jobs through the engine (content addressing + metrics)
 # ---------------------------------------------------------------------------
 
@@ -408,6 +458,58 @@ class TestServiceTier:
             assert lo <= sim_p["makespan_us"] <= hi
         snapshot = service.engine.snapshot()
         assert snapshot["analytic_hits"] + snapshot["escalations"] == 3
+
+    @pytest.mark.parametrize("tier", ["sim", "auto"])
+    def test_predict_matches_batch_on_the_same_grid(
+        self, service, engine, profile, grid_manifest, tier
+    ):
+        manifest = SweepManifest.from_dict(
+            {
+                "trace": str(grid_manifest.trace_path),
+                "cpus": [1, 2, 4, 8],
+                "bindings": ["bound"],
+                "schedulers": ["cfs"],
+                "comm_delay_us": [50],
+            }
+        )
+        report = run_manifest(
+            manifest,
+            engine,
+            tier=tier,
+            analytic_profile=profile if tier != "sim" else None,
+        )
+        body = service.predict(
+            {
+                "log": grid_manifest.trace_path.read_text(),
+                "cpus": [1, 2, 4, 8],
+                "binding": "bound",
+                "scheduler": "cfs",
+                "comm_delay_us": 50,
+                "tier": tier,
+            }
+        )
+        assert [
+            (p["cpus"], p["makespan_us"], p["speedup"]) for p in body["predictions"]
+        ] == [
+            (s.cpus, s.outcome.makespan_us, round(s.speedup, 6))
+            for s in report.scenarios
+        ]
+
+    @pytest.mark.parametrize("tier", ["sim", "auto"])
+    @pytest.mark.parametrize("deadline_s", [None, 60.0])
+    def test_deadlocked_cell_is_422_with_or_without_deadline(
+        self, service, racy_log, tier, deadline_s
+    ):
+        from repro.jobs.service import ServiceError
+
+        with pytest.raises(ServiceError) as err:
+            service.predict(
+                {"log": racy_log.read_text(), "cpus": [2], "tier": tier},
+                deadline_s=deadline_s,
+            )
+        assert err.value.status == 422
+        assert "2cpu: deadlock" in err.value.message
+        assert service.deadline_timeouts == 0
 
     def test_bad_tier_and_target_rejected(self, service, synthetic_trace):
         from repro.jobs.service import ServiceError

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import http.client
-import threading
 
 import pytest
 
@@ -30,7 +29,8 @@ from repro.jobs import (
     trace_fingerprint,
 )
 from repro.jobs.manifest import run_manifest
-from repro.jobs.service import PredictionService, make_server
+from repro.jobs.service import PredictionService
+from repro.jobs.service_async import BackgroundServer
 from repro.jobs.worker import CRASH_SENTINEL
 from repro.recorder import logfile
 
@@ -483,16 +483,14 @@ class TestManifest:
 def service_conn(trace):
     engine = JobEngine(mode="inline")
     service = PredictionService(engine)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    conn = http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=30)
     try:
-        yield conn, service
+        with BackgroundServer(service) as bg:
+            conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=30)
+            try:
+                yield conn, service
+            finally:
+                conn.close()
     finally:
-        conn.close()
-        server.shutdown()
-        server.server_close()
         engine.close()
 
 

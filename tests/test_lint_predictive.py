@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -36,7 +35,7 @@ from repro.jobs import (
     TraceRef,
 )
 from repro.jobs.model import JobOutcome
-from repro.jobs.service import PredictionService, make_server
+from repro.jobs.service import PredictionService
 from repro.jobs.service_async import BackgroundServer
 from repro.recorder import logfile
 from repro.recorder.salvage import salvage_loads
@@ -377,7 +376,7 @@ class TestSalvageAndBaseline:
 
 
 # ---------------------------------------------------------------------------
-# the /lint service endpoint (both front ends)
+# the /lint service endpoint over HTTP
 # ---------------------------------------------------------------------------
 
 
@@ -405,14 +404,11 @@ class TestServiceLint:
         finally:
             engine.close()
 
-    def test_legacy_server_lints_with_whatif(self, service, racy_trace):
+    def test_server_lints_with_whatif(self, service, racy_trace):
         log_text = logfile.dumps(racy_trace)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with BackgroundServer(service) as bg:
             status, body = _request(
-                server.server_port,
+                bg.port,
                 "POST",
                 "/lint",
                 json.dumps({"log": log_text, "whatif": {"cpus": [1, 2]}}),
@@ -428,12 +424,9 @@ class TestServiceLint:
             ]
             by_rule = {f["rule_id"]: f for f in body["findings"]}
             assert by_rule["VPPB-R002"]["manifests"] == ["2cpu/unbound"]
-            status, metrics = _request(server.server_port, "GET", "/metrics")
+            status, metrics = _request(bg.port, "GET", "/metrics")
             assert metrics["service"]["lint_requests"] == 1
             assert metrics["lint_probes"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_async_server_lints_and_rejects_bad_log(self, service, racy_trace):
         log_text = logfile.dumps(racy_trace)

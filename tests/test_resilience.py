@@ -385,18 +385,18 @@ class TestServiceCore:
         engine = JobEngine(mode="inline")  # breaker closed: probe succeeded
         service = PredictionService(engine)
 
-        def fake_makespans(ref, configs, labels=None, budget=None):
+        def fake_run(jobs, use_cache=True, budget=None):
             fp = "f" * 64
             return [
                 JobOutcome(fingerprint=fp, status="complete",
-                           makespan_us=1000, label=labels[0]),
+                           makespan_us=1000, label=jobs[0].label),
                 JobOutcome(fingerprint=fp, status=JobOutcome.BREAKER_OPEN,
-                           error="circuit breaker open", label=labels[1]),
+                           error="circuit breaker open", label=jobs[1].label),
                 JobOutcome(fingerprint=fp, status=JobOutcome.BREAKER_OPEN,
-                           error="circuit breaker open", label=labels[2]),
+                           error="circuit breaker open", label=jobs[2].label),
             ]
 
-        engine.makespans = fake_makespans
+        engine.run = fake_run
         with pytest.raises(ServiceError) as err:
             service.predict({"log": log_text, "cpus": [2, 4]}, deadline_s=5.0)
         engine.close()
@@ -407,20 +407,20 @@ class TestServiceCore:
         engine = JobEngine(mode="inline")
         service = PredictionService(engine)
 
-        def fake_makespans(ref, configs, labels=None, budget=None):
+        def fake_run(jobs, use_cache=True, budget=None):
             assert budget[1] == pytest.approx(0.5)
             fp = "f" * 64
             return [
                 JobOutcome(fingerprint=fp, status="complete",
-                           makespan_us=1000, label=labels[0]),
+                           makespan_us=1000, label=jobs[0].label),
                 JobOutcome(fingerprint=fp, status="complete",
-                           makespan_us=400, label=labels[1]),
+                           makespan_us=400, label=jobs[1].label),
                 JobOutcome(fingerprint=fp, status="budget-exhausted",
                            makespan_us=250, engine_events=77,
-                           reason="wall budget exhausted", label=labels[2]),
+                           reason="wall budget exhausted", label=jobs[2].label),
             ]
 
-        engine.makespans = fake_makespans
+        engine.run = fake_run
         with pytest.raises(DeadlineExceeded) as err:
             service.predict({"log": log_text, "cpus": [2, 4]}, deadline_s=0.5)
         engine.close()
