@@ -17,8 +17,8 @@ each hazard with the configurations where it concretely shows up:
   that config actually ends in ``RunStatus.DEADLOCK`` — the recorded
   schedule survived by luck, this machine's schedule does not.
 
-Each *(trace, config)* probe is one content-addressed
-:class:`~repro.jobs.model.LintJob` through the
+Each *(trace, config)* probe is one content-addressed lint-kind
+:class:`~repro.jobs.model.SimJob` through the
 :class:`~repro.jobs.engine.JobEngine`, so grids fan out over the worker
 pool and re-runs are served from the :class:`~repro.jobs.cache.ResultCache`.
 The probe itself (:func:`probe_trace`) is a pure function of
@@ -146,9 +146,10 @@ def probe_trace(
 ) -> Dict[str, Any]:
     """Replay *trace* unperturbed under *config*; judge each finding.
 
-    The JSON-safe return value becomes a :class:`LintJob` outcome's
-    ``payload``: ``manifested`` maps finding fingerprints to whether the
-    hazard concretely showed up under this configuration.
+    The JSON-safe return value becomes a lint job's outcome
+    ``payload`` (the worker tags it with the job kind): ``manifested``
+    maps finding fingerprints to whether the hazard concretely showed
+    up under this configuration.
     """
     from repro.core.predictor import compile_trace
     from repro.core.simulator import Simulator
@@ -177,7 +178,6 @@ def probe_trace(
         b0, b1 = _running_span(result, second)
         manifested[spec["fp"]] = a0 < b1 and b0 < a1
     return {
-        "kind": "lint",
         "replay_status": result.status.value,
         "replay_reason": (
             result.incompleteness.describe() if result.incompleteness else None
@@ -257,7 +257,7 @@ def whatif_lint(
     ``manifests`` tuples filled for :data:`PROBED_RULES` findings.
     """
     from repro.jobs.engine import default_engine
-    from repro.jobs.model import LintJob, TraceRef
+    from repro.jobs.model import SimJob, TraceRef
 
     if engine is None:
         engine = default_engine()
@@ -267,7 +267,7 @@ def whatif_lint(
     ref = TraceRef.from_trace(trace)
     grid = manifest.configs(trace)
     jobs = [
-        LintJob(trace=ref, config=cell.config, label=cell.label)
+        SimJob(trace=ref, config=cell.config, label=cell.label, kind="lint")
         for cell in grid
     ]
     outcomes = engine.run(jobs, use_cache=use_cache)

@@ -137,26 +137,27 @@ def lwp_sensitivity(
     engine: "Optional[JobEngine]" = None,
 ) -> Dict[Optional[int], int]:
     """Makespan under each LWP-pool limit (None = on-demand)."""
-    from repro.jobs.model import TraceRef
+    from repro.jobs.model import SimJob, TraceRef
 
     base = base_config or SimConfig()
-    configs = [
-        SimConfig(
-            cpus=cpus,
-            lwps=lwps,
-            comm_delay_us=base.comm_delay_us,
-            costs=base.costs,
-            dispatch=base.dispatch,
-            time_slicing=base.time_slicing,
-            scheduler=base.scheduler,
+    ref = TraceRef.from_trace(trace)
+    jobs = [
+        SimJob(
+            trace=ref,
+            config=SimConfig(
+                cpus=cpus,
+                lwps=lwps,
+                comm_delay_us=base.comm_delay_us,
+                costs=base.costs,
+                dispatch=base.dispatch,
+                time_slicing=base.time_slicing,
+                scheduler=base.scheduler,
+            ),
+            label=f"lwps={lwps}",
         )
         for lwps in lwp_counts
     ]
-    outcomes = _engine(engine).makespans(
-        TraceRef.from_trace(trace),
-        configs,
-        labels=[f"lwps={n}" for n in lwp_counts],
-    )
+    outcomes = _engine(engine).run(jobs)
     out: Dict[Optional[int], int] = {}
     for lwps, outcome in zip(lwp_counts, outcomes):
         if not outcome.ok or not outcome.complete:

@@ -151,7 +151,7 @@ def calibrate_analytic(
 ) -> AnalyticProfile:
     """Fit interval margins over *specs* × the configuration grid."""
     from repro.jobs.engine import JobEngine
-    from repro.jobs.model import TraceRef
+    from repro.jobs.model import SimJob, TraceRef
 
     if pad < 0:
         raise CalibrationError(f"pad must be >= 0, got {pad}")
@@ -169,7 +169,7 @@ def calibrate_analytic(
         }
 
         # one batch of DES ground-truth cells across the whole matrix
-        matrix: List[Tuple[object, SimConfig, str]] = []
+        matrix: List[SimJob] = []
         cell_meta: List[Tuple[str, _GridCell]] = []
         for spec, trace in recorded:
             ref = TraceRef.from_trace(trace)
@@ -179,11 +179,12 @@ def calibrate_analytic(
                 bindings=bindings,
                 schedulers=schedulers,
             ):
-                matrix.append((ref, cell.config, f"{spec.name}:{cell.label}"))
+                label = f"{spec.name}:{cell.label}"
+                matrix.append(SimJob(trace=ref, config=cell.config, label=label))
                 cell_meta.append((spec.name, cell))
         if progress:
             progress(f"simulating {len(matrix)} ground-truth cells")
-        outcomes = engine.makespan_matrix(matrix, use_cache=use_cache)
+        outcomes = engine.run(matrix, use_cache=use_cache)
 
         # observed DES/model ratios, binned per margin level
         ratios: Dict[str, Dict[str, List[float]]] = {}
@@ -275,7 +276,7 @@ def verify_profile(
     the work it just did.
     """
     from repro.jobs.engine import JobEngine
-    from repro.jobs.model import TraceRef
+    from repro.jobs.model import SimJob, TraceRef
 
     own_engine = engine is None
     if own_engine:
@@ -299,13 +300,12 @@ def verify_profile(
                     bindings=grid.get("bindings", DEFAULT_BINDINGS),
                     schedulers=grid.get("schedulers"),
                 ):
-                    matrix.append((ref, cell.config, f"{spec.name}:{cell.label}"))
+                    label = f"{spec.name}:{cell.label}"
+                    matrix.append(SimJob(trace=ref, config=cell.config, label=label))
                     cell_meta.append((spec.name, cell))
             if progress:
                 progress(f"verifying {len(matrix)} cells against the DES")
-            outcomes = list(
-                zip(cell_meta, engine.makespan_matrix(matrix, use_cache=use_cache))
-            )
+            outcomes = list(zip(cell_meta, engine.run(matrix, use_cache=use_cache)))
 
         violations: List[str] = []
         for (name, cell), outcome in outcomes:

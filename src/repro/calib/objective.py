@@ -8,7 +8,7 @@ real``.  The scalar the fitter minimises is the mean absolute error
 over all (workload, cpus) cells.
 
 All replays for one vector go through
-:meth:`repro.jobs.engine.JobEngine.makespan_matrix` as a single batch:
+:meth:`repro.jobs.engine.JobEngine.run` as a single batch:
 cells run concurrently when the engine has a pool, and because job
 fingerprints cover the full config (costs included), every previously
 visited vector — in this fit, a refit, or a validation run — is a pure
@@ -26,6 +26,7 @@ from repro.core.errors import CalibrationError
 from repro.calib.measure import MeasuredWorkload
 from repro.calib.space import ParamSpace, default_space
 from repro.jobs.engine import JobEngine, default_engine
+from repro.jobs.model import SimJob
 from repro.program.uniexec import uniprocessor_config
 from repro.solaris.costs import apply_params
 
@@ -156,18 +157,24 @@ class ObjectiveEvaluator:
         config = self._candidate_config(params)
         uni = uniprocessor_config(config)
 
-        cells: List[Tuple] = []
+        jobs: List[SimJob] = []
         layout: List[Tuple[MeasuredWorkload, int]] = []
         for m in self.measured:
-            cells.append((m.trace_ref, uni, f"{m.name}/baseline"))
+            jobs.append(
+                SimJob(trace=m.trace_ref, config=uni, label=f"{m.name}/baseline")
+            )
             layout.append((m, 0))
             for meas in m.measurements:
-                cells.append(
-                    (m.trace_ref, config.with_cpus(meas.cpus), f"{m.name}/{meas.cpus}cpu")
+                jobs.append(
+                    SimJob(
+                        trace=m.trace_ref,
+                        config=config.with_cpus(meas.cpus),
+                        label=f"{m.name}/{meas.cpus}cpu",
+                    )
                 )
                 layout.append((m, meas.cpus))
 
-        outcomes = self.engine.makespan_matrix(cells, use_cache=self.use_cache)
+        outcomes = self.engine.run(jobs, use_cache=self.use_cache)
         self.evaluations += 1
 
         makespans: Dict[Tuple[str, int], int] = {}

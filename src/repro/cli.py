@@ -354,8 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="show at most N individual repairs (0 = none)",
     )
 
+    # the engine of lint --whatif, calibrate, validate and
+    # calibrate-analytic: inline unless --workers asks for a pool (batch,
+    # serve and report default to other engines, so keep their own flags)
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="run the simulation jobs on N worker processes (0 = in-process)",
+    )
+    engine_flags.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
+    )
+    engine_flags.add_argument(
+        "--no-cache", action="store_true",
+        help="keep the result cache in memory only (no disk reads/writes)",
+    )
+
     p_lint = sub.add_parser(
-        "lint", help="static synchronisation analysis of a recorded trace"
+        "lint", parents=[engine_flags],
+        help="static synchronisation analysis of a recorded trace",
     )
     p_lint.add_argument("log", help="log file from 'vppb record'")
     p_lint.add_argument(
@@ -406,22 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and report whether it exhibits the claimed hazard "
         "(exit 0 yes / 1 no)",
     )
-    p_lint.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for the --whatif grid (0 = inline)",
-    )
-    p_lint.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory for --whatif probes "
-        "(default: the standard vppb cache)",
-    )
-    p_lint.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the result cache for --whatif probes",
-    )
 
     p_cal = sub.add_parser(
-        "calibrate",
+        "calibrate", parents=[engine_flags],
         help="fit the cost model to measured runs, write a profile",
     )
     p_cal.add_argument(
@@ -458,23 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cv", action="store_true", help="skip cross-validation"
     )
     p_cal.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="fit on N worker processes (0 = in-process)",
-    )
-    p_cal.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
-    )
-    p_cal.add_argument(
-        "--no-cache", action="store_true",
-        help="keep the result cache in memory only (no disk reads/writes)",
-    )
-    p_cal.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
 
     p_val = sub.add_parser(
-        "validate",
+        "validate", parents=[engine_flags],
         help="re-measure a profile's suite and gate on the error budget",
     )
     p_val.add_argument(
@@ -504,23 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(running/runnable/blocked/sleeping)",
     )
     p_val.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="validate on N worker processes (0 = in-process)",
-    )
-    p_val.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
-    )
-    p_val.add_argument(
-        "--no-cache", action="store_true",
-        help="keep the result cache in memory only (no disk reads/writes)",
-    )
-    p_val.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
 
     p_aca = sub.add_parser(
-        "calibrate-analytic",
+        "calibrate-analytic", parents=[engine_flags],
         help="fit the analytic tier's interval margins against the DES",
     )
     p_aca.add_argument(
@@ -541,18 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", metavar="PATH", default=None,
         help="instead of fitting, re-check that PATH's intervals bracket "
         "the DES on its own suite (exit 1 on violations)",
-    )
-    p_aca.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="simulate ground truth on N worker processes (0 = in-process)",
-    )
-    p_aca.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
-    )
-    p_aca.add_argument(
-        "--no-cache", action="store_true",
-        help="keep the result cache in memory only (no disk reads/writes)",
     )
     p_aca.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
@@ -1201,7 +1170,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except (OSError, ValueError, AnalysisError) as exc:
             print(f"lint: bad --whatif manifest: {exc}", file=sys.stderr)
             return 2
-        engine = _calib_engine(args)
+        engine = _engine_from_flags(args)
         with engine:
             res = whatif_lint(trace, manifest, report=report, engine=engine)
         report = res.report
@@ -1272,8 +1241,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _calib_engine(args: argparse.Namespace):
-    """Engine for calibrate/validate honouring the cache/worker flags."""
+def _engine_from_flags(args: argparse.Namespace):
+    """The engine the ``engine_flags`` options (--workers, --cache-dir,
+    --no-cache) ask for."""
     from repro.jobs import JobEngine, ResultCache, default_cache_dir
 
     cache_root = None
@@ -1339,7 +1309,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"calibrate: {exc}", file=sys.stderr)
         return 2
 
-    engine = _calib_engine(args)
+    engine = _engine_from_flags(args)
     try:
         profile = calibrate(
             specs,
@@ -1391,7 +1361,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"validate: {exc}", file=sys.stderr)
         return 2
 
-    engine = _calib_engine(args)
+    engine = _engine_from_flags(args)
     try:
         report = validate(
             profile,
@@ -1470,7 +1440,7 @@ def _cmd_calibrate_analytic(args: argparse.Namespace) -> int:
     )
     from repro.core.errors import CalibrationError
 
-    engine = _calib_engine(args)
+    engine = _engine_from_flags(args)
     try:
         if args.verify:
             profile = AnalyticProfile.load(args.verify)

@@ -5,9 +5,13 @@ function of *(trace, configuration, engine version)* — so prediction
 workloads batch and cache perfectly.  This package provides the three
 layers that exploit that:
 
-* :mod:`repro.jobs.model` / :mod:`repro.jobs.fingerprint` — the job
-  model: a :class:`SimJob` is one *(trace, config)* pair with a
-  deterministic content fingerprint;
+* :mod:`repro.jobs.model` / :mod:`repro.jobs.fingerprint` /
+  :mod:`repro.jobs.worker` — the job model: a :class:`SimJob` is one
+  *(trace, config)* pair plus a ``kind`` (a replay, a predictive-lint
+  probe or an analytic estimate) with a deterministic content
+  fingerprint; a kind is one entry in the addressing table
+  (:data:`repro.jobs.model.FINGERPRINTS`) and one in the execution
+  table (:data:`repro.jobs.worker.EXECUTORS`);
 * :mod:`repro.jobs.engine` / :mod:`repro.jobs.cache` — the
   :class:`JobEngine`: a process pool with backpressure, per-job
   watchdog budgets, crash retry, and a disk-backed LRU
@@ -50,7 +54,7 @@ from repro.jobs.manifest import (
     run_manifest,
 )
 from repro.jobs.metrics import EngineMetrics
-from repro.jobs.model import AnalyticJob, JobOutcome, LintJob, SimJob, TraceRef
+from repro.jobs.model import JobOutcome, SimJob, TraceRef
 from repro.jobs.tiering import (
     DEFAULT_TARGET_FRACTION,
     TierCell,
@@ -75,7 +79,6 @@ __all__ = [
     "LINT_VERSION",
     "DEFAULT_TARGET_FRACTION",
     "AdmissionGate",
-    "AnalyticJob",
     "AsyncPredictionServer",
     "BatchReport",
     "BreakerOpenError",
@@ -86,7 +89,6 @@ __all__ = [
     "GridCell",
     "JobEngine",
     "JobOutcome",
-    "LintJob",
     "PredictionService",
     "ResultCache",
     "ServiceClient",

@@ -160,53 +160,59 @@ class JobEngine:
     # execution
     # ------------------------------------------------------------------
 
-    def _payload(self, job: SimJob, budget: Optional[Budget] = None) -> Dict:
-        payload = {
-            "fingerprint": job.fingerprint,
+    def _payload(
+        self, job: SimJob, fingerprint: str, budget: Optional[Budget]
+    ) -> Dict:
+        return {
+            "fingerprint": fingerprint,
             "trace_fp": job.trace.fingerprint,
             "trace_path": job.trace.path,
             "trace_text": job.trace.text if job.trace.path is None else None,
             "config": job.config,
             "budget": budget if budget is not None else self._budget,
             "label": job.label,
-            "kind": getattr(job, "kind", "sim"),
-        }
-        if payload["kind"] == "analytic":
-            # ship the margins by value: worker processes must not
+            "kind": job.kind,
+            # ship the profile by value: worker processes must not
             # depend on a profile file existing on their side
-            payload["analytic_profile"] = job.profile.to_dict()
-        return payload
+            "profile": job.profile.to_dict() if job.profile is not None else None,
+        }
 
-    def _run_inline(self, job: SimJob, budget: Optional[Budget]) -> JobOutcome:
-        return JobOutcome.from_dict(run_payload(self._payload(job, budget)))
-
-    def _breaker_open_outcome(self, job: SimJob) -> JobOutcome:
+    def _breaker_open_outcome(self, job: SimJob, fingerprint: str) -> JobOutcome:
         self.metrics.breaker_rejected()
         retry_after = self.breaker.reject_for() if self.breaker else None
         hint = (
             f"; retry in {retry_after:.1f}s" if retry_after else ""
         )
         return JobOutcome(
-            fingerprint=job.fingerprint,
+            fingerprint=fingerprint,
             status=JobOutcome.BREAKER_OPEN,
             error=f"circuit breaker open after repeated worker crashes{hint}",
             attempts=0,
             label=job.label,
         )
 
-    def _submit(self, job: SimJob, budget: Optional[Budget]) -> Future:
+    def _submit(
+        self, job: SimJob, fingerprint: str, budget: Optional[Budget]
+    ) -> Future:
         """Submit under backpressure; the slot frees when the job ends."""
         self._slots.acquire()
-        self.metrics.submitted()
         try:
-            future = self._get_pool().submit(run_payload, self._payload(job, budget))
+            future = self._get_pool().submit(
+                run_payload, self._payload(job, fingerprint, budget)
+            )
         except BaseException:
             self._slots.release()
             raise
         future.add_done_callback(lambda _f: self._slots.release())
         return future
 
-    def _collect(self, job: SimJob, future: Future, budget: Optional[Budget]) -> JobOutcome:
+    def _collect(
+        self,
+        job: SimJob,
+        fingerprint: str,
+        future: Future,
+        budget: Optional[Budget],
+    ) -> JobOutcome:
         """Resolve one future, retrying once across a pool rebuild.
 
         Rebuild attempts back off with deterministic jitter so a burst
@@ -231,7 +237,7 @@ class JobEngine:
                 if attempts >= 2:
                     self.metrics.crashed(retried=False)
                     return JobOutcome(
-                        fingerprint=job.fingerprint,
+                        fingerprint=fingerprint,
                         status=JobOutcome.CRASHED,
                         error="worker crashed twice; job abandoned",
                         attempts=attempts,
@@ -242,15 +248,7 @@ class JobEngine:
                 delay = next(delays, 0.0)
                 if delay > 0:
                     self._retry_sleep(delay)
-                self._slots.acquire()
-                try:
-                    future = self._get_pool().submit(
-                        run_payload, self._payload(job, budget)
-                    )
-                except BaseException:
-                    self._slots.release()
-                    raise
-                future.add_done_callback(lambda _f: self._slots.release())
+                future = self._submit(job, fingerprint, budget)
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()
@@ -284,27 +282,26 @@ class JobEngine:
             else:
                 pending.setdefault(fp, []).append(i)
 
+        resolved: Dict[str, JobOutcome] = {}
         if self.mode == "inline":
-            resolved = {}
             for fp, indices in pending.items():
                 self.metrics.submitted()
-                resolved[fp] = self._run_inline(jobs[indices[0]], budget)
+                payload = self._payload(jobs[indices[0]], fp, budget)
+                resolved[fp] = JobOutcome.from_dict(run_payload(payload))
                 self._account(resolved[fp], jobs[indices[0]])
         else:
             futures: Dict[str, Future] = {}
-            rejected: Dict[str, JobOutcome] = {}
             for fp, indices in pending.items():
+                job = jobs[indices[0]]
                 if self.breaker is not None and not self.breaker.allow():
-                    rejected[fp] = self._breaker_open_outcome(jobs[indices[0]])
+                    resolved[fp] = self._breaker_open_outcome(job, fp)
                 else:
-                    futures[fp] = self._submit(jobs[indices[0]], budget)
-            resolved = dict(rejected)
-            for fp, indices in pending.items():
-                if fp in futures:
-                    resolved[fp] = self._collect(
-                        jobs[indices[0]], futures[fp], budget
-                    )
-                    self._account(resolved[fp], jobs[indices[0]])
+                    futures[fp] = self._submit(job, fp, budget)
+                    self.metrics.submitted()
+            for fp, future in futures.items():
+                job = jobs[pending[fp][0]]
+                resolved[fp] = self._collect(job, fp, future, budget)
+                self._account(resolved[fp], job)
 
         for fp, indices in pending.items():
             outcome = resolved[fp]
@@ -314,17 +311,14 @@ class JobEngine:
                 outcomes[i] = outcome.with_label(jobs[i].label)
         return outcomes  # type: ignore[return-value]
 
-    def _account(self, outcome: JobOutcome, job) -> None:
+    def _account(self, outcome: JobOutcome, job: SimJob) -> None:
         self.metrics.finished(
             ok=outcome.ok,
             partial=outcome.ok and not outcome.complete,
             elapsed_s=outcome.elapsed_s if outcome.ok else None,
             plan_cache_hits=outcome.plan_cache_hits,
             plan_cache_misses=outcome.plan_cache_misses,
-            lint_probe=bool(
-                outcome.payload and outcome.payload.get("kind") == "lint"
-            ),
-            analytic=getattr(job, "kind", "sim") == "analytic",
+            kind=job.kind,
             scheduler=job.config.scheduler,
         )
 
@@ -338,42 +332,6 @@ class JobEngine:
     # ------------------------------------------------------------------
     # sweep helpers (the engine-backed analysis entry points)
     # ------------------------------------------------------------------
-
-    def makespans(
-        self,
-        trace_ref: TraceRef,
-        configs: Sequence[SimConfig],
-        *,
-        labels: Optional[Sequence[str]] = None,
-        use_cache: bool = True,
-    ) -> List[JobOutcome]:
-        """One job per config over a fixed trace."""
-        labels = labels or [""] * len(configs)
-        jobs = [
-            SimJob(trace=trace_ref, config=cfg, label=lbl)
-            for cfg, lbl in zip(configs, labels)
-        ]
-        return self.run(jobs, use_cache=use_cache)
-
-    def makespan_matrix(
-        self,
-        cells: Sequence[Tuple[TraceRef, SimConfig, str]],
-        *,
-        use_cache: bool = True,
-    ) -> List[JobOutcome]:
-        """One job per *(trace, config, label)* cell, in cell order.
-
-        The multi-trace counterpart of :meth:`makespans`: a calibration
-        objective evaluates one parameter vector against *every*
-        workload's trace at once, so the whole matrix is submitted as a
-        single batch — cross-workload cells run concurrently on the
-        pool, and content addressing makes a refit over previously
-        visited parameter vectors a pure cache read.
-        """
-        jobs = [
-            SimJob(trace=ref, config=cfg, label=lbl) for ref, cfg, lbl in cells
-        ]
-        return self.run(jobs, use_cache=use_cache)
 
     def predict_speedups(
         self,
@@ -398,11 +356,12 @@ class JobEngine:
 
         base = base_config or SimConfig()
         ref = trace_ref or TraceRef.from_trace(trace)
-        configs = [uniprocessor_config(base)] + [
-            base.with_cpus(n) for n in cpu_counts
+        jobs = [SimJob(trace=ref, config=uniprocessor_config(base), label="baseline")]
+        jobs += [
+            SimJob(trace=ref, config=base.with_cpus(n), label=f"{n}cpu")
+            for n in cpu_counts
         ]
-        labels = ["baseline"] + [f"{n}cpu" for n in cpu_counts]
-        outcomes = self.makespans(ref, configs, labels=labels, use_cache=use_cache)
+        outcomes = self.run(jobs, use_cache=use_cache)
         for outcome in outcomes:
             if not outcome.ok:
                 raise SimulationError(

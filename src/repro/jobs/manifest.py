@@ -41,7 +41,7 @@ from repro.core.errors import AnalysisError, ConfigError
 from repro.core.result import RunStatus
 from repro.core.trace import Trace
 from repro.jobs.engine import Budget, JobEngine
-from repro.jobs.model import AnalyticJob, JobOutcome, SimJob, TraceRef
+from repro.jobs.model import JobOutcome, SimJob, TraceRef
 from repro.jobs.tiering import (
     DEFAULT_TARGET_FRACTION,
     TierCell,
@@ -480,27 +480,23 @@ def run_grid(
         config=uniprocessor_config(cells[0].config if cells else None),
         label="baseline",
     )
-    if tier == "sim":
-        cell_jobs = [
-            SimJob(trace=ref, config=cell.config, label=cell.label) for cell in cells
-        ]
-    else:
-        cell_jobs = [
-            AnalyticJob(
-                trace=ref,
-                config=cell.config,
-                profile=analytic_profile,
-                label=cell.label,
-            )
-            for cell in cells
-        ]
+    first_tier = "sim" if tier == "sim" else "analytic"
+    cell_jobs = [
+        SimJob(
+            trace=ref,
+            config=cell.config,
+            label=cell.label,
+            kind=first_tier,
+            profile=None if tier == "sim" else analytic_profile,
+        )
+        for cell in cells
+    ]
     baseline, *outcomes = engine.run(
         [baseline_job] + cell_jobs, use_cache=use_cache, budget=budget
     )
     baseline_us = (
         baseline.makespan_us if baseline.complete and baseline.makespan_us else None
     )
-    first_tier = "sim" if tier == "sim" else "analytic"
     # label -> (outcome, tier, analytic interval)
     answers = {
         cell.label: (outcome, first_tier, _interval(outcome))

@@ -31,6 +31,10 @@ def _percentile(sorted_values, fraction: float) -> float:
     return sorted_values[rank]
 
 
+def _breakdown(table: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
+    return {name: dict(per) for name, per in sorted(table.items())}
+
+
 class EngineMetrics:
     """Thread-safe counters for one engine (and the service wrapping it)."""
 
@@ -43,9 +47,6 @@ class EngineMetrics:
         self.worker_crashes = 0
         self.retries = 0
         self.jobs_rejected_breaker = 0
-        self.lint_probes = 0
-        #: analytic-tier jobs executed (the "analytic" job kind)
-        self.analytic_jobs = 0
         #: tiered queries answered without touching the simulator
         self.analytic_hits = 0
         #: tiered queries whose interval straddled the decision and had
@@ -53,8 +54,10 @@ class EngineMetrics:
         self.escalations = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: per-scheduler-backend breakdown: jobs finished and plan-cache
-        #: traffic attributed to the backend the job simulated under
+        #: per-job-kind and per-scheduler-backend breakdowns: jobs
+        #: finished and plan-cache traffic attributed to the job's kind
+        #: and to the backend it simulated under
+        self.by_kind: Dict[str, Dict[str, int]] = {}
         self.by_scheduler: Dict[str, Dict[str, int]] = {}
         self._queue_depth = 0
         self._latencies_s: Deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -74,8 +77,7 @@ class EngineMetrics:
         elapsed_s: Optional[float],
         plan_cache_hits: int = 0,
         plan_cache_misses: int = 0,
-        lint_probe: bool = False,
-        analytic: bool = False,
+        kind: Optional[str] = None,
         scheduler: Optional[str] = None,
     ) -> None:
         with self._lock:
@@ -86,20 +88,17 @@ class EngineMetrics:
                     self.jobs_partial += 1
             else:
                 self.jobs_failed += 1
-            if lint_probe:
-                self.lint_probes += 1
-            if analytic:
-                self.analytic_jobs += 1
             self.plan_cache_hits += plan_cache_hits
             self.plan_cache_misses += plan_cache_misses
-            if scheduler is not None:
-                per = self.by_scheduler.setdefault(
-                    scheduler,
-                    {"jobs": 0, "plan_cache_hits": 0, "plan_cache_misses": 0},
-                )
-                per["jobs"] += 1
-                per["plan_cache_hits"] += plan_cache_hits
-                per["plan_cache_misses"] += plan_cache_misses
+            for table, key in ((self.by_kind, kind), (self.by_scheduler, scheduler)):
+                if key is not None:
+                    per = table.setdefault(
+                        key,
+                        {"jobs": 0, "plan_cache_hits": 0, "plan_cache_misses": 0},
+                    )
+                    per["jobs"] += 1
+                    per["plan_cache_hits"] += plan_cache_hits
+                    per["plan_cache_misses"] += plan_cache_misses
             if elapsed_s is not None:
                 self._latencies_s.append(elapsed_s)
 
@@ -157,13 +156,9 @@ class EngineMetrics:
                 "worker_crashes": self.worker_crashes,
                 "retries": self.retries,
                 "jobs_rejected_breaker": self.jobs_rejected_breaker,
-                # predictive-lint manifestation probes executed (the
-                # "lint" job kind; cache hits show under cache stats)
-                "lint_probes": self.lint_probes,
-                # tiered prediction: analytic jobs executed, and the
-                # per-cell split between interval-decided cells and
-                # escalations to full simulation
-                "analytic_jobs": self.analytic_jobs,
+                # tiered prediction: the per-cell split between
+                # interval-decided cells and escalations to full
+                # simulation
                 "analytic_hits": self.analytic_hits,
                 "escalations": self.escalations,
                 "queue_depth": self._queue_depth,
@@ -174,13 +169,12 @@ class EngineMetrics:
                     "hits": self.plan_cache_hits,
                     "misses": self.plan_cache_misses,
                 },
-                # jobs and plan-cache traffic per kernel scheduler
-                # backend (cross-OS sweeps run the same trace under
-                # several kernels; this shows where the work went)
-                "schedulers": {
-                    name: dict(per)
-                    for name, per in sorted(self.by_scheduler.items())
-                },
+                # jobs executed and plan-cache traffic per job kind
+                # (sim, lint, analytic; cache hits show under cache
+                # stats) and per kernel scheduler backend (cross-OS
+                # sweeps run the same trace under several kernels)
+                "kinds": _breakdown(self.by_kind),
+                "schedulers": _breakdown(self.by_scheduler),
             }
         out["latency"] = self.latency_percentiles()
         if cache_stats is not None:

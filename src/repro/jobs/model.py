@@ -1,10 +1,14 @@
-"""The unit of batch work: one simulation of one trace under one config.
+"""The unit of batch work: one question about one trace under one config.
 
 A :class:`SimJob` pairs a :class:`TraceRef` (a log file on disk, or the
 canonical text of an in-memory trace) with a
-:class:`~repro.core.config.SimConfig`.  Its fingerprint is the content
-address of the result; equal fingerprints mean equal work, so the cache
-and the worker-side plan cache both key on it.
+:class:`~repro.core.config.SimConfig` and a ``kind``: a replay
+(``"sim"``), a predictive-lint probe (``"lint"``) or an analytic
+estimate (``"analytic"``).  Its fingerprint is the content address of
+the result; equal fingerprints mean equal work, so the result cache
+keys on it.  A kind is two table entries: its address in
+:data:`FINGERPRINTS` here, its execution in
+:data:`repro.jobs.worker.EXECUTORS`.
 
 A :class:`JobOutcome` is deliberately flat and JSON-safe — it crosses
 process boundaries (worker → engine) and lives in the on-disk cache, so
@@ -19,7 +23,7 @@ has ``error`` set.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.config import SimConfig
 from repro.core.result import RunStatus
@@ -31,7 +35,7 @@ from repro.jobs.fingerprint import (
     trace_fingerprint,
 )
 
-__all__ = ["TraceRef", "SimJob", "LintJob", "AnalyticJob", "JobOutcome"]
+__all__ = ["TraceRef", "SimJob", "FINGERPRINTS", "JobOutcome"]
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,32 @@ class TraceRef:
         return logfile.loads(self.text)
 
 
+#: Job kind -> its content address.  The only place a kind's fingerprint
+#: is defined (its execution lives in :data:`repro.jobs.worker.EXECUTORS`).
+#: The fingerprint functions are looked up in this module's globals at
+#: call time, so a wrapper installed there sees every call.
+FINGERPRINTS: Dict[str, Callable[["SimJob"], str]] = {
+    "sim": lambda job: job_fingerprint(job.trace.fingerprint, job.config),
+    "lint": lambda job: lint_job_fingerprint(job.trace.fingerprint, job.config),
+    "analytic": lambda job: analytic_job_fingerprint(
+        job.trace.fingerprint, job.config, job.profile.fingerprint()
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SimJob:
-    """One simulation request: replay *trace* under *config*.
+    """One question about *trace* under *config*; ``kind`` says which.
+
+    ``"sim"`` replays the trace; ``"lint"`` probes whether each
+    predictive-lint hazard manifests under *config* (verdicts come back
+    in the outcome's ``payload``, see
+    :func:`repro.analysis.lint.predictive.probe_trace`); ``"analytic"``
+    estimates calibrated ``[lo, hi]`` makespan bounds without a replay
+    and needs *profile*, an
+    :class:`~repro.analytic.profile.AnalyticProfile` (typed loosely to
+    keep this module import-light; only ``fingerprint()``/``to_dict()``
+    are used).  Each kind has its own fingerprint namespace.
 
     ``label`` is a human-readable scenario name carried through to
     reports ("8cpu/bound"); it does not participate in the fingerprint.
@@ -83,88 +110,25 @@ class SimJob:
     trace: TraceRef
     config: SimConfig
     label: str = ""
+    kind: str = "sim"
+    profile: Any = None
 
-    #: Worker-side dispatch key (see :func:`repro.jobs.worker.run_payload`).
-    kind = "sim"
-
-    @property
-    def fingerprint(self) -> str:
-        return job_fingerprint(self.trace.fingerprint, self.config)
-
-    @classmethod
-    def for_trace(
-        cls, trace: Trace, config: SimConfig, *, label: str = ""
-    ) -> "SimJob":
-        return cls(trace=TraceRef.from_trace(trace), config=config, label=label)
-
-
-@dataclass(frozen=True)
-class LintJob:
-    """One predictive-lint probe: does each hazard *manifest* when the
-    trace replays under *config*?
-
-    Same shape as :class:`SimJob` (the engine treats both uniformly) but
-    a different fingerprint namespace — the result embeds lint-rule
-    semantics, not just simulation output, so it re-keys when either
-    version bumps.  The worker answers with a ``payload`` dict mapping
-    finding fingerprints to a manifested bool (see
-    :func:`repro.analysis.lint.predictive.probe_trace`).
-    """
-
-    trace: TraceRef
-    config: SimConfig
-    label: str = ""
-
-    kind = "lint"
+    def __post_init__(self) -> None:
+        if self.kind not in FINGERPRINTS:
+            raise ValueError(
+                f"unknown job kind {self.kind!r} "
+                f"(known: {', '.join(sorted(FINGERPRINTS))})"
+            )
+        if (self.profile is not None) != (self.kind == "analytic"):
+            raise ValueError("a job takes a profile exactly when kind='analytic'")
 
     @property
     def fingerprint(self) -> str:
-        return lint_job_fingerprint(self.trace.fingerprint, self.config)
+        return FINGERPRINTS[self.kind](self)
 
     @classmethod
-    def for_trace(
-        cls, trace: Trace, config: SimConfig, *, label: str = ""
-    ) -> "LintJob":
-        return cls(trace=TraceRef.from_trace(trace), config=config, label=label)
-
-
-@dataclass(frozen=True)
-class AnalyticJob:
-    """One analytical estimate: closed-form makespan bounds, no replay.
-
-    Same engine-facing shape as :class:`SimJob`, a third fingerprint
-    namespace.  *profile* is an
-    :class:`~repro.analytic.profile.AnalyticProfile` (typed loosely here
-    to keep :mod:`repro.jobs.model` import-light; only its
-    ``fingerprint()``/``to_dict()`` surface is used).  The worker answers
-    with ``makespan_us`` set to the calibrated point estimate and a
-    ``payload`` carrying the full ``[lo, hi]`` interval
-    (see :func:`repro.jobs.worker.run_payload`).
-    """
-
-    trace: TraceRef
-    config: SimConfig
-    profile: Any
-    label: str = ""
-
-    kind = "analytic"
-
-    @property
-    def fingerprint(self) -> str:
-        return analytic_job_fingerprint(
-            self.trace.fingerprint, self.config, self.profile.fingerprint()
-        )
-
-    @classmethod
-    def for_trace(
-        cls, trace: Trace, config: SimConfig, profile: Any, *, label: str = ""
-    ) -> "AnalyticJob":
-        return cls(
-            trace=TraceRef.from_trace(trace),
-            config=config,
-            profile=profile,
-            label=label,
-        )
+    def for_trace(cls, trace: Trace, config: SimConfig, **fields) -> "SimJob":
+        return cls(trace=TraceRef.from_trace(trace), config=config, **fields)
 
 
 @dataclass(frozen=True)
@@ -191,13 +155,14 @@ class JobOutcome:
     attempts: int = 1
     from_cache: bool = False
     label: str = ""
-    #: 0-or-1 per job: did the worker's in-process plan cache serve the
-    #: compiled replay plan (hit) or compile it fresh (miss)?
+    #: 0-or-1 per job: did the worker's in-process caches serve every
+    #: per-trace artifact the job needed (compiled replay plan, lint
+    #: context or extracted stats: hit), or was one built fresh (miss)?
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Kind-specific result data (JSON-safe).  Lint probes return their
-    #: per-finding manifestation verdicts here; plain simulation jobs
-    #: leave it None.
+    #: Kind-specific result data (JSON-safe), tagged with the kind: lint
+    #: probes' per-finding manifestation verdicts, analytic estimates'
+    #: ``[lo, hi]`` interval.  Replays leave it None.
     payload: Optional[Dict[str, Any]] = None
 
     #: The job raised before producing any result (unparseable trace, ...).

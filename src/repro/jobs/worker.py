@@ -1,18 +1,21 @@
 """Worker-side job execution (runs inside pool processes *and* inline).
 
 The engine submits :func:`run_payload` with a plain dict payload so the
-pickled work item stays small and version-skew-tolerant.  The function
-never raises for job-level problems — an unparseable trace, a diverging
-replay, an exhausted budget all come back as a result dict the engine
-turns into a :class:`~repro.jobs.model.JobOutcome`.  Only a genuine
-worker death (signal, ``os._exit``) surfaces as a broken pool, which
-the engine handles with a retry.
+pickled work item stays small and version-skew-tolerant.
+:data:`EXECUTORS` is the only place a job kind's execution is defined;
+:func:`run_payload` wraps every kind in one envelope, so it never raises
+for job-level problems — an unparseable trace, a diverging replay, an
+exhausted budget all come back as a result dict the engine turns into a
+:class:`~repro.jobs.model.JobOutcome`.  Only a genuine worker death
+(signal, ``os._exit``) surfaces as a broken pool, which the engine
+handles with a retry.
 
-Each worker process keeps a tiny plan cache keyed by trace fingerprint:
-a CPU sweep sends the same trace to the pool N times, and compiling the
-replay plan once per *process* instead of once per *job* is most of the
-win of batching.  ``VPPB_PLAN_CACHE`` sizes the LRU (default 4 plans);
-every result dict reports whether its plan came from the cache
+Each worker process keeps one small LRU per artifact sort a kind derives
+from a trace — compiled replay plans, lint probe contexts, extracted
+stats — keyed by trace fingerprint (:func:`_cached`).  A sweep sends the
+same trace to the pool N times, and deriving those once per *process*
+instead of once per *job* is most of the win of batching.  Every result
+dict reports whether its artifacts came from the cache
 (``plan_cache_hits`` / ``plan_cache_misses``, 0-or-1 per job) so
 ``/metrics`` and ``vppb batch`` can show compile amortisation.
 """
@@ -22,14 +25,15 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.engine import Watchdog
 from repro.core.errors import VppbError
 from repro.core.predictor import compile_trace
 from repro.core.simulator import Simulator
+from repro.jobs.model import TraceRef
 
-__all__ = ["run_payload", "CRASH_SENTINEL"]
+__all__ = ["run_payload", "CRASH_SENTINEL", "EXECUTORS"]
 
 #: Trace text that makes the worker die abruptly instead of returning —
 #: the fault-injection hook behind the engine's crash-retry tests.  A
@@ -37,63 +41,34 @@ __all__ = ["run_payload", "CRASH_SENTINEL"]
 #: timestamp).
 CRASH_SENTINEL = "#!vppb-faultinject-worker-crash\n"
 
-#: (trace fingerprint -> compiled ReplayPlan), per process.
-_PLAN_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-_DEFAULT_PLAN_CACHE_MAX = 4
+#: Traces each per-process artifact LRU holds.
+CACHE_CAPACITY = 4
 
-#: (trace fingerprint -> (Trace, lint probe context)), per process: a
-#: predictive-lint grid sends the same trace through N configs, and the
-#: lint pass + access indexing are identical for all N.  Sized with the
-#: plan cache — the two caches cover the same working set.
-_LINT_CACHE: "OrderedDict[str, Tuple[Any, Dict[str, Any]]]" = OrderedDict()
+#: artifact sort ("plan", "lint", "stats") -> (trace fingerprint ->
+#: artifact), per process.
+_CACHES: Dict[str, "OrderedDict[str, Any]"] = {}
 
-#: (trace fingerprint -> extracted TraceStats), per process: an analytic
-#: grid asks about the same trace under N configs, and the one-pass
-#: extraction is the only non-trivial cost — the models themselves are a
-#: handful of arithmetic operations per config.
-_STATS_CACHE: "OrderedDict[str, Any]" = OrderedDict()
+#: A kind's answer: (every artifact came from the cache?, result fields).
+Executed = Tuple[bool, Dict[str, Any]]
 
 
-def _plan_cache_max() -> int:
-    """LRU capacity, configurable via ``VPPB_PLAN_CACHE`` (default 4).
-
-    Read per call rather than at import: worker processes inherit the
-    parent's environment, and tests (or a long-lived service) may adjust
-    the knob between batches.  Invalid or non-positive values fall back
-    to the default rather than erroring inside a worker.
-    """
-    raw = os.environ.get("VPPB_PLAN_CACHE")
-    if raw is None:
-        return _DEFAULT_PLAN_CACHE_MAX
-    try:
-        size = int(raw)
-    except ValueError:
-        return _DEFAULT_PLAN_CACHE_MAX
-    return size if size >= 1 else _DEFAULT_PLAN_CACHE_MAX
+def _cached(sort: str, trace_fp: str, build: Callable[[], Any]) -> Tuple[Any, bool]:
+    """Return ``(artifact, cache_hit)`` from the process LRU for *sort*."""
+    cache = _CACHES.setdefault(sort, OrderedDict())
+    if trace_fp in cache:
+        cache.move_to_end(trace_fp)
+        return cache[trace_fp], True
+    artifact = cache[trace_fp] = build()
+    while len(cache) > CACHE_CAPACITY:
+        cache.popitem(last=False)
+    return artifact, False
 
 
-def _plan_for(
-    fingerprint: str, path: Optional[str], text: Optional[str], *, trace=None
-):
-    """Return ``(plan, cache_hit)`` for the trace, via the process LRU.
-
-    Pass an already-loaded *trace* to skip the parse on a miss (the lint
-    probe path holds one anyway).
-    """
-    plan = _PLAN_CACHE.get(fingerprint)
-    if plan is not None:
-        _PLAN_CACHE.move_to_end(fingerprint)
-        return plan, True
-    if trace is None:
-        from repro.recorder import logfile
-
-        trace = logfile.load(path) if path is not None else logfile.loads(text)
-    plan = compile_trace(trace)
-    _PLAN_CACHE[fingerprint] = plan
-    limit = _plan_cache_max()
-    while len(_PLAN_CACHE) > limit:
-        _PLAN_CACHE.popitem(last=False)
-    return plan, False
+def _load(payload: Dict[str, Any]):
+    trace_ref = TraceRef(
+        payload["trace_fp"], payload.get("trace_path"), payload.get("trace_text")
+    )
+    return trace_ref.load()
 
 
 def run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -102,79 +77,57 @@ def run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     Payload keys: ``fingerprint``, ``trace_fp``, ``trace_path`` /
     ``trace_text`` (one required), ``config`` (a pickled
     :class:`~repro.core.config.SimConfig`), ``budget`` (an optional
-    ``(max_events, max_wall_s)`` pair), ``label`` and ``kind`` —
-    ``"sim"`` (default: one replay, makespan out), ``"lint"`` (one
-    predictive-lint manifestation probe, verdicts in ``payload``) or
-    ``"analytic"`` (closed-form makespan bounds, interval in
-    ``payload``, needs ``analytic_profile``).
+    ``(max_events, max_wall_s)`` pair), ``label``, ``kind`` (a key of
+    :data:`EXECUTORS`, default ``"sim"``) and, for analytic jobs,
+    ``profile`` (the profile's dict form).
     """
-    text = payload.get("trace_text")
-    if text == CRASH_SENTINEL:
+    if payload.get("trace_text") == CRASH_SENTINEL:
         os._exit(3)  # simulate a segfaulting worker, not an exception
 
     started = time.perf_counter()
-    base = {
-        "fingerprint": payload["fingerprint"],
-        "label": payload.get("label", ""),
-    }
-    kind = payload.get("kind", "sim")
-    if kind == "lint":
-        return _run_lint_probe(payload, base, started)
-    if kind == "analytic":
-        return _run_analytic(payload, base, started)
     try:
-        plan, cache_hit = _plan_for(
-            payload["trace_fp"], payload.get("trace_path"), text
-        )
-        watchdog = _watchdog_from(payload.get("budget"))
-        sim = Simulator(payload["config"], watchdog=watchdog, strict=False)
-        result = sim.run_replay(plan)
+        cache_hit, result = EXECUTORS[payload.get("kind", "sim")](payload)
     except VppbError as exc:
-        base.update(
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-            elapsed_s=time.perf_counter() - started,
-            # a job that failed before (or during) compilation amortised
-            # nothing — count it as a plan-cache miss
-            plan_cache_hits=0,
-            plan_cache_misses=1,
-        )
-        return base
-    base.update(
-        status=result.status.value,
-        makespan_us=result.makespan_us,
-        engine_events=result.engine_events,
-        reason=(
-            result.incompleteness.describe() if result.incompleteness else None
-        ),
+        # a job that failed before (or during) deriving its artifacts
+        # amortised nothing — count it as a cache miss
+        cache_hit, result = False, {
+            "status": "failed",
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+    result.update(
+        fingerprint=payload["fingerprint"],
+        label=payload.get("label", ""),
         elapsed_s=time.perf_counter() - started,
         plan_cache_hits=1 if cache_hit else 0,
         plan_cache_misses=0 if cache_hit else 1,
     )
-    return base
+    return result
 
 
-def _lint_context_for(fingerprint: str, path: Optional[str], text: Optional[str]):
-    """Return ``(trace, probe context, cache_hit)`` via the process LRU."""
-    entry = _LINT_CACHE.get(fingerprint)
-    if entry is not None:
-        _LINT_CACHE.move_to_end(fingerprint)
-        return entry[0], entry[1], True
+def _run_sim(payload: Dict[str, Any]) -> Executed:
+    """One replay: makespan out."""
+    plan, cache_hit = _cached(
+        "plan", payload["trace_fp"], lambda: compile_trace(_load(payload))
+    )
+    watchdog = _watchdog_from(payload.get("budget"))
+    sim = Simulator(payload["config"], watchdog=watchdog, strict=False)
+    result = sim.run_replay(plan)
+    return cache_hit, {
+        "status": result.status.value,
+        "makespan_us": result.makespan_us,
+        "engine_events": result.engine_events,
+        "reason": result.incompleteness.describe() if result.incompleteness else None,
+    }
+
+
+def _lint_context(payload: Dict[str, Any]):
     from repro.analysis.lint.predictive import lint_probe_context
-    from repro.recorder import logfile
 
-    trace = logfile.load(path) if path is not None else logfile.loads(text)
-    context = lint_probe_context(trace)
-    _LINT_CACHE[fingerprint] = (trace, context)
-    limit = _plan_cache_max()
-    while len(_LINT_CACHE) > limit:
-        _LINT_CACHE.popitem(last=False)
-    return trace, context, False
+    trace = _load(payload)
+    return trace, lint_probe_context(trace)
 
 
-def _run_lint_probe(
-    payload: Dict[str, Any], base: Dict[str, Any], started: float
-) -> Dict[str, Any]:
+def _run_lint(payload: Dict[str, Any]) -> Executed:
     """One predictive-lint probe: lint + unperturbed replay + verdicts.
 
     The probe itself completing is what ``status="complete"`` means here
@@ -184,66 +137,33 @@ def _run_lint_probe(
     """
     from repro.analysis.lint.predictive import probe_trace
 
-    try:
-        trace, context, lint_hit = _lint_context_for(
-            payload["trace_fp"], payload.get("trace_path"), payload.get("trace_text")
-        )
-        plan, plan_hit = _plan_for(payload["trace_fp"], None, None, trace=trace)
-        budget = payload.get("budget")
-        max_events = 50_000_000
-        if budget is not None and budget[0] is not None:
-            max_events = budget[0]
-        probe = probe_trace(
-            trace,
-            payload["config"],
-            plan=plan,
-            context=context,
-            max_events=max_events,
-            watchdog=_watchdog_from(budget),
-        )
-    except VppbError as exc:
-        base.update(
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-            elapsed_s=time.perf_counter() - started,
-            plan_cache_hits=0,
-            plan_cache_misses=1,
-        )
-        return base
-    base.update(
-        status="complete",
-        makespan_us=int(probe.pop("makespan_us", 0)),
-        engine_events=int(probe.pop("engine_events", 0)),
-        reason=probe.get("replay_reason"),
-        elapsed_s=time.perf_counter() - started,
-        plan_cache_hits=1 if (plan_hit and lint_hit) else 0,
-        plan_cache_misses=0 if (plan_hit and lint_hit) else 1,
-        payload=probe,
+    trace_fp = payload["trace_fp"]
+    (trace, context), lint_hit = _cached(
+        "lint", trace_fp, lambda: _lint_context(payload)
     )
-    return base
+    plan, plan_hit = _cached("plan", trace_fp, lambda: compile_trace(trace))
+    budget = payload.get("budget")
+    max_events = 50_000_000
+    if budget is not None and budget[0] is not None:
+        max_events = budget[0]
+    probe = probe_trace(
+        trace,
+        payload["config"],
+        plan=plan,
+        context=context,
+        max_events=max_events,
+        watchdog=_watchdog_from(budget),
+    )
+    return plan_hit and lint_hit, {
+        "status": "complete",
+        "makespan_us": int(probe.pop("makespan_us", 0)),
+        "engine_events": int(probe.pop("engine_events", 0)),
+        "reason": probe.get("replay_reason"),
+        "payload": {"kind": "lint", **probe},
+    }
 
 
-def _stats_for(fingerprint: str, path: Optional[str], text: Optional[str]):
-    """Return ``(TraceStats, cache_hit)`` via the process LRU."""
-    stats = _STATS_CACHE.get(fingerprint)
-    if stats is not None:
-        _STATS_CACHE.move_to_end(fingerprint)
-        return stats, True
-    from repro.analytic.stats import extract_stats
-    from repro.recorder import logfile
-
-    trace = logfile.load(path) if path is not None else logfile.loads(text)
-    stats = extract_stats(trace)
-    _STATS_CACHE[fingerprint] = stats
-    limit = _plan_cache_max()
-    while len(_STATS_CACHE) > limit:
-        _STATS_CACHE.popitem(last=False)
-    return stats, False
-
-
-def _run_analytic(
-    payload: Dict[str, Any], base: Dict[str, Any], started: float
-) -> Dict[str, Any]:
+def _run_analytic(payload: Dict[str, Any]) -> Executed:
     """One analytical estimate: calibrated ``[lo, hi]`` makespan bounds.
 
     ``makespan_us`` carries the calibrated point estimate so downstream
@@ -253,35 +173,30 @@ def _run_analytic(
     """
     from repro.analytic.models import estimate_makespan
     from repro.analytic.profile import AnalyticProfile
+    from repro.analytic.stats import extract_stats
 
-    try:
-        stats, cache_hit = _stats_for(
-            payload["trace_fp"], payload.get("trace_path"), payload.get("trace_text")
-        )
-        profile = AnalyticProfile.from_dict(payload["analytic_profile"])
-        interval = estimate_makespan(stats, payload["config"], profile)
-    except VppbError as exc:
-        base.update(
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-            elapsed_s=time.perf_counter() - started,
-            plan_cache_hits=0,
-            plan_cache_misses=1,
-        )
-        return base
+    stats, cache_hit = _cached(
+        "stats", payload["trace_fp"], lambda: extract_stats(_load(payload))
+    )
+    profile = AnalyticProfile.from_dict(payload["profile"])
+    interval = estimate_makespan(stats, payload["config"], profile)
     result_payload = interval.to_dict()
     result_payload["kind"] = "analytic"
     result_payload["stats_fingerprint"] = stats.fingerprint()
-    base.update(
-        status="complete",
-        makespan_us=interval.point_us,
-        engine_events=0,
-        elapsed_s=time.perf_counter() - started,
-        plan_cache_hits=1 if cache_hit else 0,
-        plan_cache_misses=0 if cache_hit else 1,
-        payload=result_payload,
-    )
-    return base
+    return cache_hit, {
+        "status": "complete",
+        "makespan_us": interval.point_us,
+        "payload": result_payload,
+    }
+
+
+#: Job kind -> executor.  The only place a kind's execution is defined
+#: (its address lives in :data:`repro.jobs.model.FINGERPRINTS`).
+EXECUTORS: Dict[str, Callable[[Dict[str, Any]], Executed]] = {
+    "sim": _run_sim,
+    "lint": _run_lint,
+    "analytic": _run_analytic,
+}
 
 
 def _watchdog_from(budget: Optional[Tuple[Optional[int], Optional[float]]]):

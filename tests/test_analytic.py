@@ -22,7 +22,7 @@ from repro.core.config import SimConfig
 from repro.core.errors import CalibrationError
 from repro.jobs import JobEngine, ResultCache, SweepManifest
 from repro.jobs.manifest import run_manifest
-from repro.jobs.model import AnalyticJob, SimJob, TraceRef
+from repro.jobs.model import SimJob, TraceRef
 from repro.jobs.tiering import TierCell, decide, escalation_labels
 from repro.program.uniexec import record_program
 from repro.recorder import logfile
@@ -396,11 +396,15 @@ class TestAnalyticJobs:
     def test_fingerprint_rekeys_on_profile_change(self, synthetic_trace, profile):
         ref = TraceRef.from_trace(synthetic_trace)
         config = SimConfig(cpus=4)
-        job = AnalyticJob.for_trace(synthetic_trace, config, profile)
+        job = SimJob.for_trace(
+            synthetic_trace, config, kind="analytic", profile=profile
+        )
         data = profile.to_dict()
         data["pad"] = 0.5
         recalibrated = AnalyticProfile.from_dict(data)
-        rekeyed = AnalyticJob(trace=ref, config=config, profile=recalibrated)
+        rekeyed = SimJob(
+            trace=ref, config=config, kind="analytic", profile=recalibrated
+        )
         assert job.fingerprint != rekeyed.fingerprint
         assert job.fingerprint != SimJob(trace=ref, config=config).fingerprint
 
@@ -408,8 +412,12 @@ class TestAnalyticJobs:
         eng = JobEngine(mode="inline", cache=ResultCache(None))
         try:
             jobs = [
-                AnalyticJob.for_trace(
-                    synthetic_trace, SimConfig(cpus=n), profile, label=f"{n}cpu"
+                SimJob.for_trace(
+                    synthetic_trace,
+                    SimConfig(cpus=n),
+                    kind="analytic",
+                    profile=profile,
+                    label=f"{n}cpu",
                 )
                 for n in (2, 4)
             ]
@@ -422,7 +430,7 @@ class TestAnalyticJobs:
                 assert outcome.engine_events == 0
             # the second job reuses the worker's extracted-stats cache
             assert second.plan_cache_hits == 1
-            assert eng.metrics.snapshot()["analytic_jobs"] == 2
+            assert eng.metrics.snapshot()["kinds"]["analytic"]["jobs"] == 2
         finally:
             eng.close()
 

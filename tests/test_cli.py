@@ -26,6 +26,23 @@ class TestParser:
         args = build_parser().parse_args(["predict", "x.log", "--cpus", "2,4,8"])
         assert args.cpus == [2, 4, 8]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint", "x.log"],
+            ["calibrate"],
+            ["validate", "--profile", "p.json"],
+            ["calibrate-analytic"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flags_shared(self, argv):
+        engine = lambda a: (a.workers, a.cache_dir, a.no_cache)
+        parser = build_parser()
+        assert engine(parser.parse_args(argv)) == (0, None, False)
+        flags = ["--workers", "3", "--cache-dir", "cache", "--no-cache"]
+        assert engine(parser.parse_args(argv + flags)) == (3, "cache", True)
+
 
 class TestWorkloadsCommand:
     def test_lists_all(self, capsys):

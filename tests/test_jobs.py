@@ -14,6 +14,7 @@ import http.client
 import pytest
 
 from repro import SimConfig, record_program
+from repro.analytic.profile import AnalyticProfile
 from repro.core.errors import AnalysisError, SimulationError
 from repro.core.predictor import compile_trace, predict_speedup
 from repro.faultinject import corrupt
@@ -29,9 +30,10 @@ from repro.jobs import (
     trace_fingerprint,
 )
 from repro.jobs.manifest import run_manifest
+from repro.jobs.model import FINGERPRINTS
 from repro.jobs.service import PredictionService
 from repro.jobs.service_async import BackgroundServer
-from repro.jobs.worker import CRASH_SENTINEL
+from repro.jobs.worker import CRASH_SENTINEL, EXECUTORS
 from repro.recorder import logfile
 
 from tests.conftest import make_prodcons_program
@@ -201,16 +203,113 @@ class TestEngineDeterminism:
         assert [o.label for o in outcomes] == ["4cpu", "1cpu", "2cpu"]
 
 
+#: A small inline analytic profile, so recalibrating the committed
+#: profiles/analytic.json never moves a pinned analytic fingerprint.
+SMALL_PROFILE = AnalyticProfile(
+    margins={
+        "default": {
+            "amdahl": (0.5, 2.0),
+            "comm_scale": (0.5, 2.0),
+            "lock_queue": (0.5, 2.0),
+            "work_span": (0.5, 2.0),
+        }
+    },
+    suite=(),
+)
+
+#: Outcome fields that legitimately differ between inline, pooled and
+#: cached execution of the same job.
+VOLATILE = ("elapsed_s", "attempts", "plan_cache_hits", "plan_cache_misses")
+
+
+def _job(trace_ref, config, kind, **fields):
+    profile = SMALL_PROFILE if kind == "analytic" else None
+    return SimJob(trace=trace_ref, config=config, kind=kind, profile=profile, **fields)
+
+
+class TestJobKinds:
+    """Every job kind honours one contract: a fixed address, one answer."""
+
+    #: Content addresses for trace fingerprint "f" * 64 on 4 CPUs.  A
+    #: change here re-keys every cached result of that kind and backend,
+    #: so it should only ever come with a bumped version constant in
+    #: repro.jobs.fingerprint.
+    PINNED = {
+        ("sim", "solaris"): "ca509b935107b55682dff4c538d6484cf3476139ddfe3a6a1e76235d15eb3c0b",
+        ("sim", "cfs"): "028af46e152d89fc6700ee1412c6718d59d44d25d612d6560e9feddd711d1c32",
+        ("sim", "clutch"): "f168cafd6aa9f1643c0e29dc64df7729b5b2fbe25e5525f71afbe4a19bc0b14e",
+        ("lint", "solaris"): "2e2fcd46ff3148203bf02524e0b5fb6d9be9ab6720923b831c12615a683bf473",
+        ("lint", "cfs"): "fda6e1ebfaff5c2e710ea2f81845b76dec2ad8ab75d1be97e62421764133f18d",
+        ("lint", "clutch"): "cef01fad84367d9f8c56dff58afda5cf8323097b914711e775f49aa02033310b",
+        ("analytic", "solaris"): "1af48144e214a455324e8c1ec4f93a99ccfe4b28fe1feec4fd7757a62aef8162",
+        ("analytic", "cfs"): "de49e6f475053818cad4ae8e1a5d84369837cb954ebf1f0e4b3e41bd531cc922",
+        ("analytic", "clutch"): "078d555d9949cd6e92c5d5f03df0dfd1e59d6f60e236c2cb4f6e06f1473bc797",
+    }
+
+    def test_both_tables_name_the_same_kinds(self):
+        assert set(FINGERPRINTS) == set(EXECUTORS)
+        assert {kind for kind, _ in self.PINNED} == set(EXECUTORS)
+
+    @pytest.mark.parametrize("kind,scheduler", sorted(PINNED))
+    def test_fingerprints_are_pinned(self, kind, scheduler):
+        ref = TraceRef(fingerprint="f" * 64, text="")
+        job = _job(ref, SimConfig(cpus=4, scheduler=scheduler), kind)
+        assert job.fingerprint == self.PINNED[kind, scheduler]
+
+    @pytest.mark.parametrize("kind", sorted(EXECUTORS))
+    def test_inline_pool_and_cache_agree(self, kind, trace):
+        ref = TraceRef.from_trace(trace)
+        jobs = [_job(ref, SimConfig(cpus=n), kind, label=f"{n}cpu") for n in (1, 2, 4)]
+        inline = JobEngine(mode="inline").run(jobs, use_cache=False)
+        with JobEngine(workers=2) as pooled:
+            pool = pooled.run(jobs)
+            warm = pooled.run(jobs)
+        assert all(o.complete for o in inline)
+        assert all(o.from_cache for o in warm)
+
+        def key(outcomes):
+            return [
+                {k: v for k, v in o.to_dict().items() if k not in VOLATILE}
+                for o in outcomes
+            ]
+
+        assert key(inline) == key(pool) == key(warm)
+
+    def test_failed_jobs_count_under_their_kind(self):
+        bad = TraceRef(fingerprint="e" * 64, text="not a vppb log\n")
+        engine = JobEngine(mode="inline")
+        outcomes = engine.run(
+            [_job(bad, SimConfig(cpus=2), kind) for kind in ("lint", "analytic")]
+        )
+        assert [o.status for o in outcomes] == [JobOutcome.FAILED] * 2
+        snap = engine.snapshot()
+        assert snap["jobs_failed"] == 2
+        assert snap["kinds"]["lint"]["jobs"] == snap["kinds"]["analytic"]["jobs"] == 1
+
+    def test_unknown_kind_rejected(self):
+        ref = TraceRef(fingerprint="f" * 64, text="")
+        with pytest.raises(ValueError, match="unknown job kind 'replay'"):
+            SimJob(trace=ref, config=SimConfig(), kind="replay")
+
+    @pytest.mark.parametrize(
+        "kind,profile",
+        [("analytic", None), ("sim", SMALL_PROFILE), ("lint", SMALL_PROFILE)],
+        ids=["analytic-without", "sim-with", "lint-with"],
+    )
+    def test_profile_required_exactly_for_analytic(self, kind, profile):
+        ref = TraceRef(fingerprint="f" * 64, text="")
+        with pytest.raises(ValueError, match="profile"):
+            SimJob(trace=ref, config=SimConfig(), kind=kind, profile=profile)
+
+
 class TestWorkerPlanCache:
     """The worker-side compiled-plan LRU and its observability."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
-        from collections import OrderedDict
-
         from repro.jobs import worker
 
-        monkeypatch.setattr(worker, "_PLAN_CACHE", OrderedDict())
+        monkeypatch.setattr(worker, "_CACHES", {})
 
     @staticmethod
     def _payload(log_text, fp="f" * 64, cpus=2):
@@ -229,32 +328,22 @@ class TestWorkerPlanCache:
         assert (first["plan_cache_hits"], first["plan_cache_misses"]) == (0, 1)
         assert (second["plan_cache_hits"], second["plan_cache_misses"]) == (1, 0)
 
-    def test_cache_size_from_env(self, log_text, monkeypatch):
+    def test_cache_capacity_evicts_least_recent_trace(self, log_text, monkeypatch):
         from repro.jobs import worker
 
-        monkeypatch.setenv("VPPB_PLAN_CACHE", "1")
+        monkeypatch.setattr(worker, "CACHE_CAPACITY", 1)
         worker.run_payload(self._payload(log_text, fp="a" * 64))
         worker.run_payload(self._payload(log_text, fp="b" * 64))
         # capacity 1: the second trace evicted the first
         evicted = worker.run_payload(self._payload(log_text, fp="a" * 64))
         assert evicted["plan_cache_misses"] == 1
-        assert list(worker._PLAN_CACHE) == ["a" * 64]
-
-    def test_invalid_env_falls_back_to_default(self, monkeypatch):
-        from repro.jobs import worker
-
-        monkeypatch.setenv("VPPB_PLAN_CACHE", "not-a-number")
-        assert worker._plan_cache_max() == worker._DEFAULT_PLAN_CACHE_MAX
-        monkeypatch.setenv("VPPB_PLAN_CACHE", "0")
-        assert worker._plan_cache_max() == worker._DEFAULT_PLAN_CACHE_MAX
-        monkeypatch.setenv("VPPB_PLAN_CACHE", "7")
-        assert worker._plan_cache_max() == 7
+        assert list(worker._CACHES["plan"]) == ["a" * 64]
 
     def test_outcome_and_metrics_surface_amortisation(self, trace):
         engine = JobEngine(mode="inline")
-        outcomes = engine.makespans(
-            TraceRef.from_trace(trace),
-            [SimConfig(cpus=n) for n in (1, 2, 4)],
+        ref = TraceRef.from_trace(trace)
+        outcomes = engine.run(
+            [SimJob(trace=ref, config=SimConfig(cpus=n)) for n in (1, 2, 4)],
             use_cache=False,
         )
         hits = sum(o.plan_cache_hits for o in outcomes)

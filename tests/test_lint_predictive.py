@@ -28,7 +28,6 @@ from repro.analysis.lint.predictive import lint_probe_context, probe_trace
 from repro.cli import main as cli_main
 from repro.jobs import (
     JobEngine,
-    LintJob,
     ResultCache,
     SimJob,
     SweepManifest,
@@ -255,7 +254,7 @@ class TestWhatifGrid:
         )
         assert all(c.from_cache for c in warm.cells)
         # probes ran once per cell, and the metric counted them
-        assert inline_engine.metrics.snapshot()["lint_probes"] == 2
+        assert inline_engine.metrics.snapshot()["kinds"]["lint"]["jobs"] == 2
         # identical verdicts either way
         assert [c.replay_status for c in cold.cells] == [
             c.replay_status for c in warm.cells
@@ -288,7 +287,7 @@ class TestLintJobs:
         ref = TraceRef.from_path(path)
         manifest = SweepManifest.from_dict({"trace": "x.log", "cpus": [2]})
         config = list(manifest.configs(racy_trace))[0].config
-        lint_job = LintJob(trace=ref, config=config)
+        lint_job = SimJob(trace=ref, config=config, kind="lint")
         sim_job = SimJob(trace=ref, config=config)
         assert lint_job.kind == "lint" and sim_job.kind == "sim"
         assert lint_job.fingerprint != sim_job.fingerprint
@@ -426,7 +425,7 @@ class TestServiceLint:
             assert by_rule["VPPB-R002"]["manifests"] == ["2cpu/unbound"]
             status, metrics = _request(bg.port, "GET", "/metrics")
             assert metrics["service"]["lint_requests"] == 1
-            assert metrics["lint_probes"] == 2
+            assert metrics["kinds"]["lint"]["jobs"] == 2
 
     def test_async_server_lints_and_rejects_bad_log(self, service, racy_trace):
         log_text = logfile.dumps(racy_trace)
