@@ -7,10 +7,10 @@ intact, and the richer non-Solaris policies (EDF bucket ranking,
 vruntime bookkeeping) stay within a small constant factor of the
 Solaris backend's fast-path cost on the same trace.
 
-Fixtures mirror ``bench_replay.py``'s spread — uncontended sync-heavy
-replay, a contended producer/consumer, and a barrier-structured numeric
-workload — because backend cost only shows where dispatch decisions
-happen.
+Fixtures are ``bench_replay.py``'s (imported from it) — uncontended
+sync-heavy replay, a contended producer/consumer, and a
+barrier-structured numeric workload — because backend cost only shows
+where dispatch decisions happen.
 
 Output: ``benchmarks/results/BENCH_sched.json`` with per-fixture,
 per-backend events/sec and each backend's cost ratio against Solaris
@@ -32,35 +32,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from _common import BENCH_RUNS, BENCH_SCALE, emit, save_json  # noqa: E402
+from bench_replay import _fixtures  # noqa: E402
 
 from repro import Program, SimConfig, record_program  # noqa: E402
 from repro.core.predictor import compile_trace  # noqa: E402
 from repro.core.simulator import Simulator  # noqa: E402
-from repro.program import ops as op  # noqa: E402
 from repro.sched import available_backends  # noqa: E402
-from repro.workloads import get_workload  # noqa: E402
 
 BASELINE = "BENCH_sched.json"
 REFERENCE = "solaris"
-
-
-def make_lock_ladder(scale: float) -> Program:
-    rounds = max(1_000, int(20_000 * scale))
-
-    def main(ctx):
-        for _ in range(rounds):
-            yield op.MutexLock("m")
-            yield op.MutexUnlock("m")
-
-    return Program("lock-ladder", main)
-
-
-def _fixtures(scale: float):
-    return [
-        ("lock-ladder", make_lock_ladder(scale), 1),
-        ("prodcons", get_workload("prodcons").make_program(4, max(0.2, scale)), 4),
-        ("barrier-fft", get_workload("fft").make_program(4, max(0.2, scale)), 4),
-    ]
 
 
 def _replay_s(plan, config) -> float:

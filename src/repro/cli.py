@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -69,6 +70,44 @@ def _parse_cpus(text: str) -> List[int]:
     if not counts or any(n < 1 for n in counts):
         raise argparse.ArgumentTypeError(f"bad CPU list {text!r}")
     return counts
+
+
+def _parse_factor(text: str) -> float:
+    """A scale factor: a finite number >= 0."""
+    try:
+        factor = float(text)
+    except ValueError:
+        factor = math.nan
+    if not 0 <= factor < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"bad factor {text!r} (want a number >= 0)"
+        )
+    return factor
+
+
+def _parse_ways(text: str) -> int:
+    """A shard count: an integer >= 1."""
+    try:
+        ways = int(text)
+    except ValueError:
+        ways = 0
+    if ways < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad shard count {text!r} (want an integer >= 1)"
+        )
+    return ways
+
+
+def _lock_value(parse_value):
+    """Type for ``LOCK:VALUE`` flags: ``(lock, value, VALUE as typed)``."""
+
+    def parse(text: str):
+        lock, sep, raw = text.rpartition(":")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"bad {text!r} (want LOCK:VALUE)")
+        return lock, parse_value(raw), raw
+
+    return parse
 
 
 def _config_from(args: argparse.Namespace, cpus: int) -> SimConfig:
@@ -253,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument("--host", default="127.0.0.1")
     p_client.add_argument("--port", type=int, default=8123)
     p_client.add_argument(
-        "--cpus", default="2,4,8", metavar="N,N,...",
+        "--cpus", type=_parse_cpus, default="2,4,8", metavar="N,N,...",
         help="CPU counts to predict (default: 2,4,8)",
     )
     p_client.add_argument(
@@ -302,20 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_what.add_argument("--cpus", type=int, default=8)
     p_what.add_argument(
-        "--scale-compute", type=float, default=None, metavar="F",
+        "--scale-compute", type=_parse_factor, default=None, metavar="F",
         help="scale every CPU burst by F",
     )
     p_what.add_argument(
-        "--scale-io", type=float, default=None, metavar="F",
+        "--scale-io", type=_parse_factor, default=None, metavar="F",
         help="scale every recorded I/O wait by F",
     )
     p_what.add_argument(
-        "--scale-cs", default=None, metavar="LOCK:F",
-        help="scale the work held under LOCK by F",
+        "--scale-cs", type=_lock_value(_parse_factor), default=None,
+        metavar="LOCK:F", help="scale the work held under LOCK by F",
     )
     p_what.add_argument(
-        "--shard-lock", default=None, metavar="LOCK:N",
-        help="split LOCK into N round-robin shards",
+        "--shard-lock", type=_lock_value(_parse_ways), default=None,
+        metavar="LOCK:N", help="split LOCK into N round-robin shards",
     )
     p_what.add_argument(
         "--scheduler", default=None, metavar="NAME[,NAME...]",
@@ -784,10 +823,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
         if args.action == "upload":
             print(json.dumps(upload, indent=2))
             return 0
-        cpus = [int(n) for n in str(args.cpus).split(",") if n]
         payload = client.predict(
             trace=upload["trace"],
-            cpus=cpus,
+            cpus=args.cpus,
             binding=args.binding,
             deadline_s=args.deadline,
         )
@@ -925,13 +963,13 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         transformed = scale_io(transformed, args.scale_io)
         applied.append(f"io x{args.scale_io}")
     if args.scale_cs is not None:
-        lock, _, factor = args.scale_cs.rpartition(":")
-        transformed = scale_critical_sections(transformed, lock, float(factor))
-        applied.append(f"critical section of {lock!r} x{factor}")
+        lock, factor, text = args.scale_cs
+        transformed = scale_critical_sections(transformed, lock, factor)
+        applied.append(f"critical section of {lock!r} x{text}")
     if args.shard_lock is not None:
-        lock, _, ways = args.shard_lock.rpartition(":")
-        transformed = split_lock(transformed, lock, int(ways))
-        applied.append(f"{lock!r} split {ways} ways")
+        lock, ways, text = args.shard_lock
+        transformed = split_lock(transformed, lock, ways)
+        applied.append(f"{lock!r} split {text} ways")
     if not applied:
         print("no transformation requested (see --help)", file=sys.stderr)
         return 2

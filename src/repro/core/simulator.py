@@ -32,7 +32,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine, Watchdog
@@ -95,72 +95,29 @@ class ReplayThreadMeta:
 # compiled replay plans (the fast interpreter's instruction set)
 # ---------------------------------------------------------------------------
 
-#: Op type → (opcode, Simulator handler attribute).  The opcode is the
-#: index into the per-run pre-bound handler table; ``_f_*`` handlers are
-#: fast-path specialisations, the remaining entries reuse the legacy
-#: ``_h_*`` methods (blocking/rare ops whose cost is not per-step).
-_FAST_DISPATCH: List[Tuple[type, str]] = [
-    (op_mod.MutexLock, "_f_mutex_lock"),
-    (op_mod.MutexTrylock, "_f_mutex_trylock"),
-    (op_mod.MutexUnlock, "_f_mutex_unlock"),
-    (op_mod.SemaInit, "_f_sema_init"),
-    (op_mod.SemaWait, "_f_sema_wait"),
-    (op_mod.SemaTryWait, "_f_sema_trywait"),
-    (op_mod.SemaPost, "_f_sema_post"),
-    (op_mod.CondWait, "_h_cond_wait"),
-    (op_mod.CondTimedWait, "_h_cond_timedwait"),
-    (op_mod.CondSignal, "_f_cond_signal"),
-    (op_mod.CondBroadcast, "_f_cond_broadcast"),
-    (op_mod.RwRdLock, "_f_rw_rdlock"),
-    (op_mod.RwWrLock, "_f_rw_wrlock"),
-    (op_mod.RwTryRdLock, "_f_rw_tryrdlock"),
-    (op_mod.RwTryWrLock, "_f_rw_trywrlock"),
-    (op_mod.RwUnlock, "_f_rw_unlock"),
-    (op_mod.Resched, "_h_resched"),
-    (op_mod.Delay, "_h_delay"),
-    (op_mod.IoWait, "_h_io_wait"),
-    (op_mod.Noop, "_f_noop"),
-    (op_mod.SharedRead, "_f_shared_access"),
-    (op_mod.SharedWrite, "_f_shared_access"),
-    (op_mod.ThrCreate, "_h_thr_create"),
-    (op_mod.ThrJoin, "_h_thr_join"),
-    (op_mod.ThrExit, "_h_thr_exit"),
-    (op_mod.ThrYield, "_h_thr_yield"),
-    (op_mod.ThrSetPrio, "_f_thr_setprio"),
-    (op_mod.ThrSetConcurrency, "_f_thr_setconcurrency"),
-]
-
-_OPCODE_OF: Dict[type, int] = {
-    cls: code for code, (cls, _) in enumerate(_FAST_DISPATCH)
-}
-
 #: Primitive → index into the per-run cost rows (0 = "no primitive").
 _PRIM_IDX: Dict[Primitive, int] = {p: i + 1 for i, p in enumerate(Primitive)}
 
-# opcodes the deferred-return path special-cases (timeout status, wildcard
-# join target) — int compares instead of isinstance in the hot loop
-_CODE_COND_TIMEDWAIT = _OPCODE_OF[op_mod.CondTimedWait]
-_CODE_THR_JOIN = _OPCODE_OF[op_mod.ThrJoin]
-
 #: ops whose sync object can be resolved once per run instead of per
-#: execution: creation takes no parameters for these kinds, so resolving
-#: (and so creating) early is invisible in the result.  Semaphores are
-#: excluded — sema() uses the initial count only at creation, so first
-#: touch must stay at execution time.  Index into _attach_fast's resolver
-#: tuple: 1 = mutex, 2 = condvar, 3 = rwlock.  Steps are compiled to
-#: small-int *slots* (one per distinct object a thread touches) so a
-#: replay resolves each object once, not once per step.
-_SYNC_KIND: Dict[type, int] = {
-    op_mod.MutexLock: 1,
-    op_mod.MutexTrylock: 1,
-    op_mod.MutexUnlock: 1,
-    op_mod.CondSignal: 2,
-    op_mod.CondBroadcast: 2,
-    op_mod.RwRdLock: 3,
-    op_mod.RwWrLock: 3,
-    op_mod.RwTryRdLock: 3,
-    op_mod.RwTryWrLock: 3,
-    op_mod.RwUnlock: 3,
+#: execution, mapped to the :class:`SyncObjectTable` accessor that
+#: resolves it.  Creation takes no parameters for these kinds, so
+#: resolving (and so creating) early is invisible in the result.
+#: Semaphores are excluded — sema() uses the initial count only at
+#: creation, so first touch must stay at execution time.  Their handlers
+#: read the object from ``rt.cur_sync``: the fast interpreter compiles
+#: steps to small-int *slots* (one per distinct object a thread touches)
+#: resolved once per run, the object interpreter resolves in ``_apply``.
+_SYNC_KIND: Dict[type, Callable[[SyncObjectTable, str], object]] = {
+    op_mod.MutexLock: SyncObjectTable.mutex,
+    op_mod.MutexTrylock: SyncObjectTable.mutex,
+    op_mod.MutexUnlock: SyncObjectTable.mutex,
+    op_mod.CondSignal: SyncObjectTable.cond,
+    op_mod.CondBroadcast: SyncObjectTable.cond,
+    op_mod.RwRdLock: SyncObjectTable.rwlock,
+    op_mod.RwWrLock: SyncObjectTable.rwlock,
+    op_mod.RwTryRdLock: SyncObjectTable.rwlock,
+    op_mod.RwTryWrLock: SyncObjectTable.rwlock,
+    op_mod.RwUnlock: SyncObjectTable.rwlock,
 }
 
 
@@ -198,13 +155,13 @@ class CompiledThread:
         self.objs = tuple(op.obj for op in ops)
         self.targets = tuple(Simulator._op_target(op) for op in ops)
         # per-step sync slot: 0 = none, j >= 1 indexes slot_specs[j - 1]
-        slot_of: Dict[Tuple[int, str], int] = {}
-        specs: List[Tuple[int, str]] = []
+        slot_of: Dict[tuple, int] = {}
+        specs: List[tuple] = []
         slots = []
         for op in ops:
-            kind = _SYNC_KIND.get(type(op), 0)
-            if kind:
-                key = (kind, op.name)
+            resolve = _SYNC_KIND.get(type(op))
+            if resolve is not None:
+                key = (resolve, op.name)
                 j = slot_of.get(key)
                 if j is None:
                     j = slot_of[key] = len(specs) + 1
@@ -219,16 +176,6 @@ class CompiledThread:
             i for i, op in enumerate(ops) if type(op) is op_mod.ThrCreate
         )
         self.n = len(seq)
-
-
-def _compile_steps(steps: List[Step]) -> Optional[CompiledThread]:
-    """Lower one thread's steps; None when an op type is not compilable
-    (an Op subclass outside the vocabulary — the plan then replays on the
-    legacy object-walking path)."""
-    for step in steps:
-        if type(step.op) not in _OPCODE_OF:
-            return None
-    return CompiledThread(steps)
 
 
 @dataclass
@@ -248,21 +195,21 @@ class ReplayPlan:
     program_name: str = "a.out"
 
     def __post_init__(self) -> None:
-        total = 0
-        compiled: Optional[Dict[int, CompiledThread]] = {}
-        for tid, steps in self.steps.items():
-            total += len(steps)
-            if compiled is not None:
-                ct = _compile_steps(steps)
-                compiled = None if ct is None else compiled
-                if compiled is not None:
-                    compiled[tid] = ct
+        total = sum(len(steps) for steps in self.steps.values())
         self._total_steps = total
         #: number of recorded library calls the plan replays (one placed
         #: event per step) — what watchdog event budgets and the replay
         #: benchmark size themselves against
         self.event_count = total
-        self.compiled = compiled
+        #: None when an op type has no handler (an Op subclass outside the
+        #: vocabulary): the plan then replays on the object-walking path,
+        #: which reports the unhandled op
+        self.compiled: Optional[Dict[int, CompiledThread]] = None
+        op_types = {type(s.op) for steps in self.steps.values() for s in steps}
+        if op_types <= _OPCODE_OF.keys():
+            self.compiled = {
+                tid: CompiledThread(steps) for tid, steps in self.steps.items()
+            }
 
     def total_steps(self) -> int:
         return self._total_steps
@@ -289,15 +236,17 @@ class _ThreadRt:
     The ``c_*`` fields alias the thread's :class:`CompiledThread` arrays
     plus the per-run cost array; ``cur_*`` cache the in-flight step's
     constants so completion never re-derives them from the op.
+    ``cur_sync`` is the in-flight ``_SYNC_KIND`` op's object, set by
+    either interpreter before the handler runs.
     """
 
     __slots__ = (
         "behavior", "ctx", "current_op", "op_cost_us", "op_call_time_us",
-        "pending_ret", "pending_result", "extra_us", "started",
+        "pending_ret", "pending_result", "extra_us", "started", "cur_sync",
         # fast-interpreter state
         "pos", "c_codes", "c_works", "c_costs", "c_objs", "c_targets",
         "c_ops", "c_syncslots", "c_slotobjs",
-        "cur_code", "cur_obj", "cur_target", "cur_sync",
+        "cur_code", "cur_obj", "cur_target",
     )
 
     def __init__(
@@ -670,17 +619,18 @@ class Simulator:
     #
     # The fast path replaces the two SchedulerListener entry points with
     # interpreter loops over the plan's CompiledThread arrays: small-int
-    # opcode dispatch through a pre-bound handler table, per-step costs
-    # read from a precomputed row, and the probe/record plumbing (always
-    # dead during prediction — probes only exist while recording) removed
-    # instead of re-checked per event.  Blocking and rare ops reuse the
-    # legacy ``_h_*`` handlers, which stay parity-correct here because
-    # ``self.need_step`` is shadowed by :meth:`_need_step_fast` and
-    # ``_emit_record`` no-ops without a probe.
+    # opcode dispatch through a per-run pre-bound copy of ``_HANDLERS``,
+    # per-step costs read from a precomputed row, and the probe/record
+    # plumbing (always dead during prediction — probes only exist while
+    # recording) removed instead of re-checked per event.  Both
+    # interpreters run the same ``_h_*`` handlers: here ``need_step`` and
+    # ``_complete_now`` are shadowed by their fast versions, ``rt.cur_sync``
+    # comes from the slots resolved once per run, and ``_emit_record``
+    # no-ops without a probe.
 
     def _setup_fast(self) -> None:
         self._fast = True
-        self._fh = [getattr(self, name) for _, name in _FAST_DISPATCH]
+        self._fh = [h.__get__(self) for h in self._HANDLERS.values()]
         op_cost = self.config.costs.op_cost
         # cost rows indexed by CompiledThread.prims: row 0 = unbound
         # thread, row 1 = bound; slot 0 = "op has no primitive"
@@ -696,10 +646,12 @@ class Simulator:
         self._sched_bursts = self.scheduler._burst_events
         self._heap = self.engine.queue._heap
         self._evseq = self.engine.queue._counter
-        # shadow the listener entry points (instance attribute wins over
-        # the class methods, for the scheduler and the reused handlers)
+        # shadow the listener entry points and the handlers' completion
+        # routine (instance attribute wins over the class methods, for the
+        # scheduler and the handlers)
         self.need_step = self._need_step_fast  # type: ignore[method-assign]
         self.burst_complete = self._burst_complete_fast  # type: ignore[method-assign]
+        self._complete_now = self._complete_now_fast  # type: ignore[method-assign]
 
     def _attach_fast(self, thread: SimThread, rt: _ThreadRt) -> None:
         """Alias the compiled arrays onto the runtime at first dispatch.
@@ -727,9 +679,8 @@ class Simulator:
         # rather than at first execution cannot perturb parity) — one
         # resolution per distinct object, indexed per step via sync_slots
         sync = self.sync
-        resolvers = (None, sync.mutex, sync.cond, sync.rwlock)
         rt.c_slotobjs = (None,) + tuple(
-            resolvers[kind](name) for kind, name in ct.slot_specs
+            resolve(sync, name) for resolve, name in ct.slot_specs
         )
         rt.c_syncslots = ct.sync_slots
         rt.pos = 0
@@ -902,98 +853,6 @@ class Simulator:
             heappush(self._heap, (end, seq, ev))
         self._sched_bursts[thread.tid] = (ev, end)
 
-    # -- fast per-op handlers (hot completion ops only; blocking/rare ops
-    # -- reuse the legacy handlers via the dispatch table) -----------------
-
-    def _f_mutex_lock(self, thread, rt, op: op_mod.MutexLock) -> None:
-        if rt.cur_sync.lock(thread, self):
-            self._complete_now_fast(thread, rt, op, None)
-        else:
-            rt.pending_ret = True
-
-    def _f_mutex_trylock(self, thread, rt, op: op_mod.MutexTrylock) -> None:
-        ok = rt.cur_sync.trylock(thread)
-        self._complete_now_fast(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
-
-    def _f_mutex_unlock(self, thread, rt, op: op_mod.MutexUnlock) -> None:
-        rt.cur_sync.unlock(thread, self)
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_sema_init(self, thread, rt, op: op_mod.SemaInit) -> None:
-        self.sync.sema(op.name, op.count)
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_sema_wait(self, thread, rt, op: op_mod.SemaWait) -> None:
-        if self.sync.sema(op.name).wait(thread, self):
-            self._complete_now_fast(thread, rt, op, None)
-        else:
-            rt.pending_ret = True
-
-    def _f_sema_trywait(self, thread, rt, op: op_mod.SemaTryWait) -> None:
-        ok = self.sync.sema(op.name).trywait(thread)
-        self._complete_now_fast(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
-
-    def _f_sema_post(self, thread, rt, op: op_mod.SemaPost) -> None:
-        self.sync.sema(op.name).post(self)
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_cond_signal(self, thread, rt, op: op_mod.CondSignal) -> None:
-        rt.cur_sync.signal(self)
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_cond_broadcast(self, thread, rt, op: op_mod.CondBroadcast) -> None:
-        held = None
-        if op.expected_waiters is not None:
-            held = self._most_recent_mutex_of(thread)
-        proceeded = rt.cur_sync.broadcast(
-            thread, self, expected_waiters=op.expected_waiters, held_mutex=held
-        )
-        if proceeded:
-            self._complete_now_fast(thread, rt, op, None)
-        else:
-            rt.pending_ret = True
-
-    def _f_rw_rdlock(self, thread, rt, op: op_mod.RwRdLock) -> None:
-        if rt.cur_sync.rdlock(thread, self):
-            self._complete_now_fast(thread, rt, op, None)
-        else:
-            rt.pending_ret = True
-
-    def _f_rw_wrlock(self, thread, rt, op: op_mod.RwWrLock) -> None:
-        if rt.cur_sync.wrlock(thread, self):
-            self._complete_now_fast(thread, rt, op, None)
-        else:
-            rt.pending_ret = True
-
-    def _f_rw_tryrdlock(self, thread, rt, op: op_mod.RwTryRdLock) -> None:
-        ok = rt.cur_sync.tryrdlock(thread)
-        self._complete_now_fast(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
-
-    def _f_rw_trywrlock(self, thread, rt, op: op_mod.RwTryWrLock) -> None:
-        ok = rt.cur_sync.trywrlock(thread)
-        self._complete_now_fast(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
-
-    def _f_rw_unlock(self, thread, rt, op: op_mod.RwUnlock) -> None:
-        rt.cur_sync.unlock(thread, self)
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_noop(self, thread, rt, op: op_mod.Noop) -> None:
-        if op.busy:
-            self._complete_now_fast(thread, rt, op, False, Status.BUSY)
-        else:
-            self._complete_now_fast(thread, rt, op, True)
-
-    def _f_shared_access(self, thread, rt, op: op_mod.Op) -> None:
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_thr_setprio(self, thread, rt, op: op_mod.ThrSetPrio) -> None:
-        thread.set_priority(op.priority)
-        self._complete_now_fast(thread, rt, op, None)
-
-    def _f_thr_setconcurrency(self, thread, rt, op: op_mod.ThrSetConcurrency) -> None:
-        self.scheduler.set_concurrency(op.level)
-        self._complete_now_fast(thread, rt, op, None)
-
     # ==================================================================
     # KernelAPI (used by the sync objects)
     # ==================================================================
@@ -1027,15 +886,19 @@ class Simulator:
     # ==================================================================
 
     def _apply(self, thread: SimThread, rt: _ThreadRt, op: op_mod.Op) -> None:
-        """Dispatch on the op type.  Exactly one of these happens:
+        """Dispatch on the op type, first resolving a ``_SYNC_KIND`` op's
+        object into ``rt.cur_sync``.  Exactly one of these happens:
 
         * the op completes now → RET record + placed event + next step;
         * the thread blocked    → deferred return (``rt.pending_ret``);
         * the thread exited     → single-record ``thr_exit`` handling.
         """
-        handler = self._HANDLERS.get(type(op))
-        if handler is None:
+        entry = _OBJECT_DISPATCH.get(type(op))
+        if entry is None:
             raise ProgramError(f"unhandled op {type(op).__name__}")
+        handler, resolve = entry
+        if resolve is not None:
+            rt.cur_sync = resolve(self.sync, op.name)
         handler(self, thread, rt, op)
 
     # -- helpers ---------------------------------------------------------
@@ -1055,9 +918,6 @@ class Simulator:
         rt.current_op = None
         rt.pending_result = result
         self.need_step(thread)
-
-    def _blocked(self, rt: _ThreadRt) -> None:
-        rt.pending_ret = True
 
     def _finish_op(
         self,
@@ -1123,17 +983,17 @@ class Simulator:
     # -- per-op handlers ---------------------------------------------------
 
     def _h_mutex_lock(self, thread, rt, op: op_mod.MutexLock) -> None:
-        if self.sync.mutex(op.name).lock(thread, self):
+        if rt.cur_sync.lock(thread, self):
             self._complete_now(thread, rt, op, None)
         else:
-            self._blocked(rt)
+            rt.pending_ret = True
 
     def _h_mutex_trylock(self, thread, rt, op: op_mod.MutexTrylock) -> None:
-        ok = self.sync.mutex(op.name).trylock(thread)
+        ok = rt.cur_sync.trylock(thread)
         self._complete_now(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
 
     def _h_mutex_unlock(self, thread, rt, op: op_mod.MutexUnlock) -> None:
-        self.sync.mutex(op.name).unlock(thread, self)
+        rt.cur_sync.unlock(thread, self)
         self._complete_now(thread, rt, op, None)
 
     def _h_sema_init(self, thread, rt, op: op_mod.SemaInit) -> None:
@@ -1144,7 +1004,7 @@ class Simulator:
         if self.sync.sema(op.name).wait(thread, self):
             self._complete_now(thread, rt, op, None)
         else:
-            self._blocked(rt)
+            rt.pending_ret = True
 
     def _h_sema_trywait(self, thread, rt, op: op_mod.SemaTryWait) -> None:
         ok = self.sync.sema(op.name).trywait(thread)
@@ -1157,13 +1017,13 @@ class Simulator:
     def _h_cond_wait(self, thread, rt, op: op_mod.CondWait) -> None:
         mutex = self.sync.mutex(op.mutex) if op.mutex else None
         self.sync.cond(op.name).wait(thread, mutex, self)
-        self._blocked(rt)
+        rt.pending_ret = True
 
     def _h_cond_timedwait(self, thread, rt, op: op_mod.CondTimedWait) -> None:
         if op.forced_timeout:
             # §3.2: a wait that timed out in the log replays as a delay
             rt.pending_result = False
-            self._blocked(rt)
+            rt.pending_ret = True
             self.scheduler.sleep_current(thread, op.timeout_us)
             return
         mutex = self.sync.mutex(op.mutex) if op.mutex else None
@@ -1175,7 +1035,7 @@ class Simulator:
             timeout_us=op.timeout_us,
             on_timeout=lambda t, c=cond: self._cond_timeout(c, t),
         )
-        self._blocked(rt)
+        rt.pending_ret = True
 
     def _cond_timeout(self, cond, thread: SimThread) -> None:
         """The timed wait expired before a signal arrived."""
@@ -1186,7 +1046,7 @@ class Simulator:
         # else: queued on the mutex; the hand-off will wake it
 
     def _h_cond_signal(self, thread, rt, op: op_mod.CondSignal) -> None:
-        self.sync.cond(op.name).signal(self)
+        rt.cur_sync.signal(self)
         self._complete_now(thread, rt, op, None)
 
     def _h_cond_broadcast(self, thread, rt, op: op_mod.CondBroadcast) -> None:
@@ -1197,13 +1057,13 @@ class Simulator:
             # the condition variable so the waiters it is waiting for can
             # get in (it is re-acquired before the broadcaster resumes).
             held = self._most_recent_mutex_of(thread)
-        proceeded = self.sync.cond(op.name).broadcast(
+        proceeded = rt.cur_sync.broadcast(
             thread, self, expected_waiters=op.expected_waiters, held_mutex=held
         )
         if proceeded:
             self._complete_now(thread, rt, op, None)
         else:
-            self._blocked(rt)
+            rt.pending_ret = True
 
     def _most_recent_mutex_of(self, thread: SimThread):
         held = [m for m in self.sync.all_mutexes().values() if m.owner is thread]
@@ -1212,27 +1072,27 @@ class Simulator:
         return max(held, key=lambda m: m.acquired_seq)
 
     def _h_rw_rdlock(self, thread, rt, op: op_mod.RwRdLock) -> None:
-        if self.sync.rwlock(op.name).rdlock(thread, self):
+        if rt.cur_sync.rdlock(thread, self):
             self._complete_now(thread, rt, op, None)
         else:
-            self._blocked(rt)
+            rt.pending_ret = True
 
     def _h_rw_wrlock(self, thread, rt, op: op_mod.RwWrLock) -> None:
-        if self.sync.rwlock(op.name).wrlock(thread, self):
+        if rt.cur_sync.wrlock(thread, self):
             self._complete_now(thread, rt, op, None)
         else:
-            self._blocked(rt)
+            rt.pending_ret = True
 
     def _h_rw_tryrdlock(self, thread, rt, op: op_mod.RwTryRdLock) -> None:
-        ok = self.sync.rwlock(op.name).tryrdlock(thread)
+        ok = rt.cur_sync.tryrdlock(thread)
         self._complete_now(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
 
     def _h_rw_trywrlock(self, thread, rt, op: op_mod.RwTryWrLock) -> None:
-        ok = self.sync.rwlock(op.name).trywrlock(thread)
+        ok = rt.cur_sync.trywrlock(thread)
         self._complete_now(thread, rt, op, ok, Status.OK if ok else Status.BUSY)
 
     def _h_rw_unlock(self, thread, rt, op: op_mod.RwUnlock) -> None:
-        self.sync.rwlock(op.name).unlock(thread, self)
+        rt.cur_sync.unlock(thread, self)
         self._complete_now(thread, rt, op, None)
 
     def _h_resched(self, thread, rt, op: op_mod.Resched) -> None:
@@ -1248,7 +1108,7 @@ class Simulator:
     def _h_io_wait(self, thread, rt, op: op_mod.IoWait) -> None:
         # the §6 extension: a recorded blocking I/O — the thread sleeps
         # without a processor and the return is stamped when it resumes
-        self._blocked(rt)
+        rt.pending_ret = True
         self.scheduler.sleep_current(thread, op.duration_us)
 
     def _h_noop(self, thread, rt, op: op_mod.Noop) -> None:
@@ -1276,7 +1136,7 @@ class Simulator:
                     )
                 self._wildcard_joiners.append(thread)
                 self.block(thread, "thr_join <any>")
-                self._blocked(rt)
+                rt.pending_ret = True
             return
         target = self.threads.get(op.tid)
         if target is None:
@@ -1289,7 +1149,7 @@ class Simulator:
         else:
             self._joiners.setdefault(op.tid, []).append(thread)
             self.block(thread, f"thr_join T{op.tid}")
-            self._blocked(rt)
+            rt.pending_ret = True
 
     def _any_joinable(self) -> bool:
         return any(
@@ -1313,7 +1173,7 @@ class Simulator:
         self._notify_joiners(thread)
 
     def _h_thr_yield(self, thread, rt, op: op_mod.ThrYield) -> None:
-        self._blocked(rt)  # the call returns when the thread runs again
+        rt.pending_ret = True  # the call returns when the thread runs again
         self.scheduler.yield_current(thread)
 
     def _h_thr_setprio(self, thread, rt, op: op_mod.ThrSetPrio) -> None:
@@ -1487,6 +1347,28 @@ class Simulator:
                 source=op.source,
             )
         )
+
+
+# Tables derived from Simulator._HANDLERS (read only at call time, so they
+# can follow the class).
+
+#: Op type → opcode: the index into the per-run pre-bound copy of
+#: ``_HANDLERS`` that the fast interpreter dispatches through.
+_OPCODE_OF: Dict[type, int] = {
+    cls: code for code, cls in enumerate(Simulator._HANDLERS)
+}
+
+# opcodes the deferred-return path special-cases (timeout status, wildcard
+# join target) — int compares instead of isinstance in the hot loop
+_CODE_COND_TIMEDWAIT = _OPCODE_OF[op_mod.CondTimedWait]
+_CODE_THR_JOIN = _OPCODE_OF[op_mod.ThrJoin]
+
+#: Op type → (handler, sync accessor or None): the object interpreter's
+#: ``_apply`` finds both with one lookup.
+_OBJECT_DISPATCH = {
+    cls: (handler, _SYNC_KIND.get(cls))
+    for cls, handler in Simulator._HANDLERS.items()
+}
 
 
 def simulate_program(

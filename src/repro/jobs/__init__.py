@@ -61,14 +61,7 @@ from repro.jobs.tiering import (
     decide,
     escalation_labels,
 )
-from repro.jobs.resilience import (
-    AdmissionGate,
-    BreakerOpenError,
-    CircuitBreaker,
-    Deadline,
-    backoff_delays,
-    retry_call,
-)
+from repro.jobs.resilience import AdmissionGate, CircuitBreaker, backoff_delays
 from repro.jobs.service import PredictionService
 from repro.jobs.service_async import AsyncPredictionServer, serve_async
 
@@ -81,10 +74,8 @@ __all__ = [
     "AdmissionGate",
     "AsyncPredictionServer",
     "BatchReport",
-    "BreakerOpenError",
     "CircuitBreaker",
     "ClientError",
-    "Deadline",
     "EngineMetrics",
     "GridCell",
     "JobEngine",
@@ -107,7 +98,6 @@ __all__ = [
     "escalation_labels",
     "job_fingerprint",
     "lint_job_fingerprint",
-    "retry_call",
     "run_grid",
     "run_manifest",
     "serve_async",

@@ -5,10 +5,8 @@ hard, with no policy baked in:
 
 * :class:`CircuitBreaker` — trip after consecutive failures, fail fast
   while open, half-open with probe requests after a cooldown;
-* :func:`backoff_delays` / :func:`retry_call` — exponential backoff
-  with deterministic full jitter (an explicit RNG, so tests replay the
-  exact schedule);
-* :class:`Deadline` — a wall-clock budget carried through a request;
+* :func:`backoff_delays` — exponential backoff with deterministic full
+  jitter (an explicit RNG, so tests replay the exact schedule);
 * :class:`AdmissionGate` — a bounded in-flight counter that sheds load
   once a watermark is crossed, instead of queueing unboundedly.
 
@@ -24,30 +22,13 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable, Iterator, Optional, Tuple, Type
-
-from repro.core.errors import VppbError
+from typing import Callable, Iterator, Optional
 
 __all__ = [
     "AdmissionGate",
-    "BreakerOpenError",
     "CircuitBreaker",
-    "Deadline",
     "backoff_delays",
-    "retry_call",
 ]
-
-
-class BreakerOpenError(VppbError):
-    """Raised when work is refused because a circuit breaker is open.
-
-    ``retry_after_s`` is the caller-facing hint: how long until the
-    breaker will half-open and admit a probe.
-    """
-
-    def __init__(self, message: str, *, retry_after_s: float = 0.0):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
 
 
 # ---------------------------------------------------------------------------
@@ -213,79 +194,6 @@ def backoff_delays(
     draw = (rng or random).uniform
     for n in range(attempts - 1):
         yield draw(0.0, min(cap_s, base_s * (2.0 ** n)))
-
-
-def retry_call(
-    fn: Callable,
-    *,
-    attempts: int = 3,
-    base_s: float = 0.05,
-    cap_s: float = 5.0,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-    rng: Optional[random.Random] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-) -> object:
-    """Call *fn* up to *attempts* times, backing off between failures.
-
-    Retries only exceptions matching *retry_on*; anything else (and the
-    final failure) propagates.  ``on_retry(attempt, exc, delay_s)`` is
-    invoked before each sleep — the hook the CLI uses to narrate
-    retries.
-    """
-    delays = backoff_delays(attempts, base_s=base_s, cap_s=cap_s, rng=rng)
-    for attempt in range(1, attempts + 1):
-        try:
-            return fn()
-        except retry_on as exc:
-            if attempt == attempts:
-                raise
-            delay = next(delays)
-            if on_retry is not None:
-                on_retry(attempt, exc, delay)
-            if delay > 0:
-                sleep(delay)
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# deadlines
-# ---------------------------------------------------------------------------
-
-
-class Deadline:
-    """A wall-clock budget carried through one request.
-
-    ``Deadline.after(5.0)`` expires five seconds from now; ``None``
-    budgets never expire (``remaining()`` is ``None``).
-    """
-
-    __slots__ = ("_expires_at", "_clock", "budget_s")
-
-    def __init__(
-        self,
-        budget_s: Optional[float],
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if budget_s is not None and budget_s <= 0:
-            raise ValueError(f"deadline budget must be > 0, got {budget_s}")
-        self.budget_s = budget_s
-        self._clock = clock
-        self._expires_at = None if budget_s is None else clock() + budget_s
-
-    @classmethod
-    def after(cls, budget_s: Optional[float], **kw) -> "Deadline":
-        return cls(budget_s, **kw)
-
-    def remaining(self) -> Optional[float]:
-        if self._expires_at is None:
-            return None
-        return max(0.0, self._expires_at - self._clock())
-
-    @property
-    def expired(self) -> bool:
-        return self._expires_at is not None and self._clock() >= self._expires_at
 
 
 # ---------------------------------------------------------------------------

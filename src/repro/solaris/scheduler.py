@@ -192,12 +192,6 @@ class Scheduler:
                 self._runnable[lwp.lwp_id] = lwp
             lwp.state = state
 
-    @staticmethod
-    def _effective_priority(lwp: SimLwp) -> int:
-        """Global dispatch priority: every RT LWP outranks every TS LWP
-        (the Solaris global priority ordering), fixed within its class."""
-        return lwp.kernel_priority + (1_000 if lwp.rt else 0)
-
     def _set_thread_state(
         self, thread: SimThread, state: ThreadState, cpu: Optional[int] = None
     ) -> None:
@@ -586,10 +580,12 @@ class Scheduler:
         """:meth:`begin_burst` for the replay fast path: same semantics and
         trip points, but the completion closure is built once per thread
         (``thread.burst_action``, with :meth:`_burst_done`'s bookkeeping
-        fused in), the label is constant, and the event is pushed straight
-        onto the queue (the end time can never be in the past, so the
-        ``schedule_at`` guard is redundant).  Durations are ``work + cost``
-        of a compiled step, hence never negative."""
+        fused in — ``Simulator._attach_fast`` builds it at the thread's
+        first fetch, before its first burst), the label is constant, and
+        the event is pushed straight onto the queue (the end time can never
+        be in the past, so the ``schedule_at`` guard is redundant).
+        Durations are ``work + cost`` of a compiled step, hence never
+        negative."""
         if thread.state is not ThreadState.RUNNING:
             raise SimulationError(
                 f"begin_burst on {thread.state.value} T{int(thread.tid)}"
@@ -599,30 +595,11 @@ class Scheduler:
         if pending:
             duration_us += pending.pop(tid, 0)
         thread.burst_remaining_us = duration_us
-        action = thread.burst_action
-        if action is None:
-            # normally pre-built (fused with the interpreter dispatch) by
-            # Simulator._attach_fast; this fallback fuses _burst_done only
-            def action(
-                t=thread,
-                t_id=tid,
-                events=self._burst_events,
-                complete=self.listener.burst_complete,
-                running=ThreadState.RUNNING,
-            ):
-                events.pop(t_id, None)
-                t.burst_remaining_us = 0
-                if t.state is not running:
-                    raise SimulationError(
-                        f"burst completion for non-running T{t_id}"
-                    )
-                complete(t)
-            thread.burst_action = action
         engine = self.engine
         end = engine.now_us + duration_us
         ev = thread.burst_event
         if ev is None or ev.cancelled:
-            ev = engine.queue.push(end, action, "burst")
+            ev = engine.queue.push(end, thread.burst_action, "burst")
             thread.burst_event = ev
         else:
             engine.queue.repush(end, ev)

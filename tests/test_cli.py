@@ -29,6 +29,39 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["client", "predict", "x.log", "--cpus", "2,x"],
+            ["client", "predict", "x.log", "--cpus", "0"],
+            ["whatif", "x.log", "--shard-lock", "buffer:x"],
+            ["whatif", "x.log", "--shard-lock", "buffer:0"],
+            ["whatif", "x.log", "--scale-cs", "buffer"],
+            ["whatif", "x.log", "--scale-cs", "buffer:-1"],
+            ["whatif", "x.log", "--scale-compute", "-1"],
+            ["whatif", "x.log", "--scale-io", "-1"],
+        ],
+        ids=lambda argv: "=".join(argv[-2:]),
+    )
+    def test_malformed_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vppb")
+        assert f"argument {argv[-2]}:" in err
+
+    def test_lock_values_parsed(self):
+        args = build_parser().parse_args([
+            "whatif", "x.log", "--scale-cs", "buffer:0.5",
+            "--shard-lock", "buffer:16", "--scale-io", "2",
+        ])
+        assert args.scale_cs == ("buffer", 0.5, "0.5")
+        assert args.shard_lock == ("buffer", 16, "16")
+        assert args.scale_io == 2.0
+        client = build_parser().parse_args(["client", "predict", "x.log"])
+        assert client.cpus == [2, 4, 8]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["lint", "x.log"],
             ["calibrate"],
             ["validate", "--profile", "p.json"],

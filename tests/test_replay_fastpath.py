@@ -21,11 +21,13 @@ import pytest
 from repro import SimConfig, record_program
 from repro.core.config import ThreadPolicy
 from repro.core.engine import Watchdog
-from repro.core.errors import SimulationError
+from repro.core.errors import ProgramError, SimulationError
 from repro.core.predictor import ReplayPlan, compile_trace
 from repro.core.result import RunStatus
-from repro.core.simulator import Simulator
+from repro.core.simulator import _OPCODE_OF, ReplayThreadMeta, Simulator
 from repro.faultinject import drop_wakeups, skew_clock, stall_threads
+from repro.program import ops as op_mod
+from repro.program.behavior import Step
 from repro.recorder import logfile
 from repro.workloads import get_workload
 
@@ -286,3 +288,34 @@ class TestEngineSelection:
     def test_event_count_matches_total_steps(self, prodcons_plan):
         assert prodcons_plan.event_count == prodcons_plan.total_steps()
         assert prodcons_plan.event_count > 0
+
+
+# ---------------------------------------------------------------------------
+# one handler table
+# ---------------------------------------------------------------------------
+
+
+class _Unhandled(op_mod.Op):
+    """An Op subclass outside the simulator's vocabulary."""
+
+
+class TestOneHandlerTable:
+    def test_fast_path_dispatches_to_the_shared_handlers(self, prodcons_plan):
+        sim = Simulator(SimConfig(cpus=2))
+        sim.run_replay(prodcons_plan, replay_engine="fast")
+        assert sim._fast
+        assert list(_OPCODE_OF) == list(Simulator._HANDLERS)
+        for cls, handler in Simulator._HANDLERS.items():
+            assert sim._fh[_OPCODE_OF[cls]].__func__ is handler, cls.__name__
+
+    def test_unhandled_op_does_not_lower(self):
+        main = [Step(10, _Unhandled()), Step(0, op_mod.ThrExit())]
+        plan = ReplayPlan(steps={1: main}, meta={1: ReplayThreadMeta(1, "main")})
+        assert plan.compiled is None
+        assert not plan.fast_replayable()
+        assert plan.event_count == plan.total_steps() == 2
+        for engine in ("fast", "legacy"):
+            sim = Simulator(SimConfig(cpus=1))
+            with pytest.raises(ProgramError, match="unhandled op _Unhandled"):
+                sim.run_replay(plan, replay_engine=engine)
+            assert not sim._fast

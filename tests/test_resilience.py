@@ -25,13 +25,7 @@ from repro.jobs.cache import ResultCache
 from repro.jobs.client import ClientError, ServiceClient
 from repro.jobs.engine import JobEngine
 from repro.jobs.model import JobOutcome, SimJob, TraceRef
-from repro.jobs.resilience import (
-    AdmissionGate,
-    CircuitBreaker,
-    Deadline,
-    backoff_delays,
-    retry_call,
-)
+from repro.jobs.resilience import AdmissionGate, CircuitBreaker, backoff_delays
 from repro.jobs.service import (
     DeadlineExceeded,
     PredictionService,
@@ -135,62 +129,6 @@ class TestBackoff:
         delays = list(backoff_delays(8, base_s=0.5, cap_s=3.0, rng=random.Random(1)))
         for n, d in enumerate(delays):
             assert 0.0 <= d <= min(3.0, 0.5 * (2 ** n))
-
-    def test_retry_call_retries_then_succeeds(self):
-        calls = []
-        sleeps = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "done"
-
-        result = retry_call(
-            flaky, attempts=4, base_s=0.01, sleep=sleeps.append,
-        )
-        assert result == "done"
-        assert len(calls) == 3
-        assert len(sleeps) == 2
-
-    def test_retry_call_exhaustion_raises_last_error(self):
-        def always():
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError, match="nope"):
-            retry_call(always, attempts=3, base_s=0.0, sleep=lambda _: None)
-
-    def test_retry_call_respects_retry_on(self):
-        def boom():
-            raise KeyError("fatal")
-
-        calls = []
-        with pytest.raises(KeyError):
-            retry_call(
-                boom,
-                attempts=5,
-                retry_on=(OSError,),
-                sleep=calls.append,
-            )
-        assert calls == []  # non-retryable: no sleeps, one attempt
-
-
-class TestDeadline:
-    def test_remaining_counts_down(self):
-        clock = FakeClock()
-        d = Deadline(2.0, clock=clock)
-        assert d.remaining() == pytest.approx(2.0)
-        clock.advance(1.5)
-        assert d.remaining() == pytest.approx(0.5)
-        assert not d.expired
-        clock.advance(1.0)
-        assert d.expired
-        assert d.remaining() == 0.0
-
-    def test_unbounded(self):
-        d = Deadline.after(None)
-        assert d.remaining() is None
-        assert not d.expired
 
 
 class TestAdmissionGate:
