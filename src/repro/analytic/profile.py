@@ -100,9 +100,17 @@ class AnalyticProfile:
 
     def fingerprint(self) -> str:
         """Content hash — part of every analytic job's fingerprint, so
-        re-calibrating invalidates previously cached analytic answers."""
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        re-calibrating invalidates previously cached analytic answers.
+
+        Hashed once per profile object: the profile is frozen, and
+        nothing changes its tables after construction.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     # ------------------------------------------------------------------
     # serialisation

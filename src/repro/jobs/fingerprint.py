@@ -7,9 +7,12 @@ batch prediction cacheable: two jobs with the same fingerprint are the
 same job, whether they run inline, in a worker process, or in another
 process next week.
 
-* :func:`trace_fingerprint` hashes the canonical text serialisation of a
-  trace (the log-file format is itself canonical: one record per line in
-  time order, sorted header tables);
+* :func:`canonical_trace` serialises a trace to its canonical log text
+  once and hashes those bytes (the log-file format is itself canonical:
+  one record per line in time order, sorted header tables); it is the
+  one definition of a trace's address, behind :func:`trace_fingerprint`,
+  :meth:`Trace.fingerprint <repro.core.trace.Trace.fingerprint>` and
+  every in-memory :class:`~repro.jobs.model.TraceRef`;
 * :func:`canonical_config` lowers a :class:`~repro.core.config.SimConfig`
   to a JSON-safe dict with sorted keys, covering every field that can
   change a simulation outcome (costs, dispatch table, per-thread
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from repro.core.config import SimConfig, ThreadPolicy
 from repro.core.trace import Trace
@@ -31,6 +34,7 @@ __all__ = [
     "ENGINE_VERSION",
     "LINT_VERSION",
     "ANALYTIC_VERSION",
+    "canonical_trace",
     "trace_fingerprint",
     "canonical_config",
     "config_fingerprint",
@@ -63,15 +67,29 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def canonical_trace(trace: Trace) -> Tuple[str, str]:
+    """``(canonical log text, fingerprint)`` of *trace*, from one serialisation.
+
+    The fingerprint is the hex SHA-256 of the text's UTF-8 bytes, so a
+    file holding exactly those bytes hashes to it.  It is memoised on
+    the trace (the trace is immutable): a later ``trace.fingerprint()``
+    costs nothing.
+    """
+    from repro.recorder import logfile
+
+    text = logfile.dumps(trace)
+    fingerprint = trace._fingerprint = _sha256(text)
+    return text, fingerprint
+
+
 def trace_fingerprint(trace: Trace) -> str:
     """Stable content hash of a trace (hex SHA-256).
 
-    Uses the canonical log-file serialisation, so a trace has the same
-    fingerprint in memory, on disk, and after a dump/load round trip.
+    Hashes the canonical log-file serialisation (:func:`canonical_trace`),
+    so a trace has the same fingerprint in memory, on disk, and after a
+    dump/load round trip.
     """
-    from repro.recorder.logfile import dumps
-
-    return _sha256(dumps(trace))
+    return trace.fingerprint()
 
 
 def _canonical_policy(policy: ThreadPolicy) -> Dict[str, Any]:

@@ -30,6 +30,7 @@ from repro.core.result import RunStatus
 from repro.core.trace import Trace
 from repro.jobs.fingerprint import (
     analytic_job_fingerprint,
+    canonical_trace,
     job_fingerprint,
     lint_job_fingerprint,
     trace_fingerprint,
@@ -57,9 +58,9 @@ class TraceRef:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceRef":
-        from repro.recorder.logfile import dumps
-
-        return cls(fingerprint=trace.fingerprint(), text=dumps(trace))
+        """Reference an in-memory trace by its canonical text (one serialisation)."""
+        text, fingerprint = canonical_trace(trace)
+        return cls(fingerprint=fingerprint, text=text)
 
     @classmethod
     def from_path(cls, path: str) -> "TraceRef":

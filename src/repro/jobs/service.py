@@ -13,9 +13,11 @@ API (all bodies JSON unless noted):
 
 ``POST /traces``
     Body: a raw VPPB log file, streamed and salvage-parsed (400 only
-    when nothing is replayable), spooled under its content fingerprint;
-    returns ``{"trace": <fingerprint>, "events": n, "threads": n, ...}``
-    plus repair counts.  Uploading the same trace twice is idempotent.
+    when nothing is replayable), serialised once to canonical text and
+    spooled under its content fingerprint (the sha256 of the spooled
+    bytes), off the event loop; returns ``{"trace": <fingerprint>,
+    "events": n, "threads": n, ...}`` plus repair counts.  Uploading the
+    same trace twice is idempotent.
 ``POST /predict``
     Body: ``{"trace": <fingerprint>}`` (previously uploaded) or
     ``{"log": <raw log text>}`` (one-shot), plus optional ``cpus``
@@ -54,6 +56,7 @@ API (all bodies JSON unless noted):
 from __future__ import annotations
 
 import os
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -62,6 +65,7 @@ from repro.core.config import SimConfig, ThreadPolicy
 from repro.core.errors import ConfigError, VppbError
 from repro.core.result import RunStatus
 from repro.jobs.engine import JobEngine
+from repro.jobs.fingerprint import canonical_trace
 from repro.jobs.manifest import GridCell, GridRun, run_grid
 from repro.jobs.model import JobOutcome, TraceRef
 from repro.jobs.tiering import DEFAULT_TARGET_FRACTION
@@ -149,8 +153,6 @@ class PredictionService:
         spool_dir: Optional[Path] = None,
         max_body_bytes: Optional[int] = None,
     ):
-        import tempfile
-
         self.engine = engine
         self.max_body_bytes = (
             max_body_bytes if max_body_bytes is not None else default_max_body_bytes()
@@ -173,23 +175,15 @@ class PredictionService:
 
     # ------------------------------------------------------------------
 
-    def _spool(self, ref: TraceRef, text: str) -> Path:
-        path = self.spool_dir / f"{ref.fingerprint}.log"
-        if not path.exists():
-            path.write_text(text, encoding="utf-8")
-        with self._lock:
-            self._traces[ref.fingerprint] = path
-        return path
-
     def store_salvaged(self, result) -> Dict[str, Any]:
         """Spool a streamed-and-salvaged upload (a :class:`SalvageResult`).
 
         The streaming ingest path parses leniently — a damaged log is
         accepted if anything is replayable, and the response reports
-        every repair count so the client knows what it uploaded.
+        every repair count so the client knows what it uploaded.  The
+        trace is serialised once: the spool file holds exactly the
+        canonical bytes its fingerprint hashes.
         """
-        from repro.recorder import logfile
-
         trace = result.trace
         if len(trace) == 0:
             raise ServiceError(
@@ -197,13 +191,20 @@ class PredictionService:
                 "nothing salvageable in the uploaded log: "
                 + result.report.summary(),
             )
-        text = logfile.dumps(trace)
-        ref = TraceRef.from_trace(trace)
-        self._spool(ref, text)
+        text, fingerprint = canonical_trace(trace)
+        path = self.spool_dir / f"{fingerprint}.log"
+        if not path.exists():
+            # uploads are stored concurrently: write under a private name
+            # and rename, so a reader never sees a half-written spool file
+            fd, tmp = tempfile.mkstemp(dir=self.spool_dir, suffix=".tmp")
+            with os.fdopen(fd, "wb") as out:
+                out.write(text.encode("utf-8"))
+            os.replace(tmp, path)
         with self._lock:
+            self._traces[fingerprint] = path
             self.streamed_uploads += 1
         return {
-            "trace": ref.fingerprint,
+            "trace": fingerprint,
             "events": len(trace),
             "threads": len(trace.thread_ids()),
             "program": trace.meta.program,

@@ -404,9 +404,12 @@ class AsyncPredictionServer:
                 f"body exceeds the {exc.limit}-byte cap",
                 extra={"cap": exc.limit},
             )
-        # the final salvage pass re-walks every record; keep it off the loop
-        result = await loop.run_in_executor(self._executor, stream.finish)
-        return self.service.store_salvaged(result)
+        # the final salvage pass re-walks every record, and storing
+        # serialises, hashes and writes the trace: keep both off the loop
+        def finish_and_store() -> Dict[str, Any]:
+            return self.service.store_salvaged(stream.finish())
+
+        return await loop.run_in_executor(self._executor, finish_and_store)
 
     async def _predict(self, request: _Request, reader) -> Dict[str, Any]:
         if not self.gate.try_enter():

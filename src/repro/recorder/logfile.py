@@ -28,7 +28,7 @@ import io
 import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.errors import LogFormatError
 from repro.core.events import EventRecord, Phase, SourceLocation, Status
@@ -71,7 +71,10 @@ def _decode_source(text: str, lineno: int, line: str = "") -> SourceLocation:
     return SourceLocation(file=unquote(parts[0]), line=src_line, function=unquote(parts[2]))
 
 
-def _record_line(rec: EventRecord, *, posix_names: bool = False) -> str:
+def _record_line(
+    rec: EventRecord, sources: Dict[SourceLocation, str], *, posix_names: bool = False
+) -> str:
+    """One record's line; *sources* memoises each location's ``src=`` token."""
     name = to_posix_name(rec.primitive) if posix_names else rec.primitive.value
     fields = [
         format_us(rec.time_us),
@@ -90,7 +93,10 @@ def _record_line(rec: EventRecord, *, posix_names: bool = False) -> str:
     if rec.status is not None:
         fields.append(f"status={rec.status.value}")
     if rec.source is not None:
-        fields.append(f"src={_encode_source(rec.source)}")
+        token = sources.get(rec.source)
+        if token is None:
+            token = sources[rec.source] = f"src={_encode_source(rec.source)}"
+        fields.append(token)
     return " ".join(fields)
 
 
@@ -99,7 +105,8 @@ def dumps(trace: Trace, *, posix_names: bool = False) -> str:
 
     ``posix_names=True`` renders primitives under their POSIX spellings
     (``pthread_mutex_lock`` ...) — the §6 portability hook; the parser
-    accepts both conventions either way.
+    accepts both conventions either way.  Each distinct source location
+    is percent-encoded once per call.
     """
     out = io.StringIO()
     out.write(f"# vppb-log {FORMAT_VERSION}\n")
@@ -109,8 +116,9 @@ def dumps(trace: Trace, *, posix_names: bool = False) -> str:
         out.write(f"# thread-function: {tid} {urllib.parse.quote(func, safe='')}\n")
     if trace.meta.comment:
         out.write(f"# comment: {trace.meta.comment}\n")
+    sources: Dict[SourceLocation, str] = {}
     for rec in trace:
-        out.write(_record_line(rec, posix_names=posix_names))
+        out.write(_record_line(rec, sources, posix_names=posix_names))
         out.write("\n")
     return out.getvalue()
 
@@ -168,9 +176,19 @@ def _parse_obj(text: str, lineno: int, line: str) -> SyncObjectId:
 
 
 def _parse_record(
-    line: str, lineno: int, *, on_repair: Optional[RepairHook] = None
+    line: str,
+    lineno: int,
+    memo: Dict[str, Any],
+    *,
+    on_repair: Optional[RepairHook] = None,
 ) -> EventRecord:
     """Parse one record line.
+
+    *memo* maps each ``T<n>``, ``obj=``/``obj2=`` and ``src=`` token this
+    parse has already decoded to its value, so a log that names the same
+    few threads, objects and source locations on every line decodes each
+    of them once.  Only successful decodes are stored: a malformed token
+    raises (or is repaired) on every line it appears on.
 
     With ``on_repair`` set (lenient mode), attribute-level damage —
     unknown attribute keys, unparsable attribute values, a negative
@@ -186,7 +204,10 @@ def _parse_record(
             raise _fail(f"negative timestamp {fields[0]!r}", lineno, line, fields[0])
         on_repair("clamped-negative-timestamp", f"{fields[0]} -> 0.000000")
         time_us = 0
-    tid = _parse_tid(fields[1], lineno, line)
+    # the thread column decodes like a target= token, so it shares those entries
+    tid = memo.get("target=" + fields[1])
+    if tid is None:
+        tid = memo["target=" + fields[1]] = _parse_tid(fields[1], lineno, line)
     phase = _PHASES_BY_NAME.get(fields[2])
     if phase is None:
         raise _fail(f"unknown phase {fields[2]!r}", lineno, line, fields[2])
@@ -205,11 +226,17 @@ def _parse_record(
             if not sep:
                 raise _fail(f"bad attribute {token!r}", lineno, line, token)
             if key == "obj":
-                obj = _parse_obj(value, lineno, line)
+                obj = memo.get(token)
+                if obj is None:
+                    obj = memo[token] = _parse_obj(value, lineno, line)
             elif key == "obj2":
-                obj2 = _parse_obj(value, lineno, line)
+                obj2 = memo.get(token)
+                if obj2 is None:
+                    obj2 = memo[token] = _parse_obj(value, lineno, line)
             elif key == "target":
-                target = _parse_tid(value, lineno, line)
+                target = memo.get(token)
+                if target is None:
+                    target = memo[token] = _parse_tid(value, lineno, line)
             elif key == "arg":
                 try:
                     arg = int(value)
@@ -220,7 +247,9 @@ def _parse_record(
                 if status is None:
                     raise _fail(f"unknown status {value!r}", lineno, line, value)
             elif key == "src":
-                source = _decode_source(value, lineno, line)
+                source = memo.get(token)
+                if source is None:
+                    source = memo[token] = _decode_source(value, lineno, line)
             else:
                 raise _fail(f"unknown attribute key {key!r}", lineno, line, key)
         except LogFormatError as exc:
@@ -325,6 +354,7 @@ def loads(
 
     acc = _HeaderAcc()
     records: List[EventRecord] = []
+    memo: Dict[str, Any] = {}
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -333,7 +363,7 @@ def loads(
             if line.startswith("#"):
                 _parse_header_line(acc, line, lineno)
                 continue
-            records.append(_parse_record(line, lineno))
+            records.append(_parse_record(line, lineno, memo))
         if not acc.saw_version:
             raise LogFormatError("missing '# vppb-log <version>' header", lineno=1)
     except LogFormatError as exc:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import codecs
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import LogFormatError, TraceError
 from repro.core.events import EventRecord, Phase, Primitive, Status
@@ -427,6 +427,7 @@ class SalvageStream:
         self._report = SalvageReport(source=source)
         self._decoder = codecs.getincrementaldecoder("utf-8")("replace")
         self._acc = logfile._HeaderAcc()
+        self._memo: Dict[str, Any] = {}  # decoded tokens, for this stream only
         self._records: List[Tuple[Optional[int], EventRecord]] = []
         self._buffer = ""  # the current, still-incomplete line
         self._lineno = 0
@@ -485,7 +486,7 @@ class SalvageStream:
             return
         try:
             self._records.append(
-                (lineno, logfile._parse_record(line, lineno, on_repair=on_repair))
+                (lineno, logfile._parse_record(line, lineno, self._memo, on_repair=on_repair))
             )
         except LogFormatError as exc:
             self._report.add("dropped-unparsable-line", exc.message, lineno)

@@ -15,6 +15,7 @@ The load-bearing properties, tested end to end:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,20 @@ class TestCalibration:
         loaded = AnalyticProfile.load(saved)
         assert loaded.to_dict() == profile.to_dict()
         assert loaded.fingerprint() == profile.fingerprint()
+
+    def test_committed_profile_fingerprint_pinned_and_hashed_once(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "profiles" / "analytic.json"
+        profile = AnalyticProfile.load(path)
+        dumps = []
+        to_dict = AnalyticProfile.to_dict
+        monkeypatch.setattr(
+            AnalyticProfile, "to_dict", lambda self: dumps.append(1) or to_dict(self)
+        )
+        for _ in range(3):
+            assert profile.fingerprint() == (
+                "42bc41d6afc5cb3c02b5b9e60ea4f041826a9837fc2d8cb6b94a6c5cef9c85b5"
+            )
+        assert len(dumps) == 1
 
     def test_fingerprint_tracks_content(self, profile):
         data = profile.to_dict()

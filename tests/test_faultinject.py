@@ -6,7 +6,10 @@ unhandled exception.  Perturbations must be deterministic under a seed
 and must never mutate their input.
 """
 
+import hashlib
+import json
 import random
+import re
 
 import pytest
 
@@ -91,6 +94,37 @@ class TestChaosSuite:
         summary = chaos_summary(outcomes)
         assert f"{len(outcomes)} variant(s)" in summary
         assert "failed" in summary
+
+    def test_salvage_counts_pinned_over_sixteen_seeds(self, log_text):
+        # each source location becomes its rank, so the log, and every
+        # byte offset a corruptor picks, is the same in any checkout
+        ranks = {}
+
+        def portable(match):
+            rank = ranks.setdefault(match.group(0), len(ranks) + 1)
+            return f"src=prodcons.c|{rank}|{match.group(1)}"
+
+        text = re.sub(r"src=\S+\|(\w*)$", portable, log_text, flags=re.M)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0afb963d00a282afaaf9104fa9770bac34c6500fc5d2bd04138938a0cb5385ae"
+        ), "the recorded prodcons fixture changed"
+        outcomes = run_chaos(text, seeds=range(16))
+        tally = {}
+        for o in outcomes:
+            tally[o.status] = tally.get(o.status, 0) + 1
+        assert tally == {"salvaged": 170, "strict-ok": 54}
+        assert sum(len(o.report.repairs) for o in outcomes if o.report) == 818
+        rows = [
+            [
+                o.kind, o.seed, o.status, o.records,
+                o.report.counts_by_kind() if o.report else None,
+                o.report.records_kept if o.report else None,
+            ]
+            for o in outcomes
+        ]
+        assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == (
+            "984376ec46f6698dc82e9403ca94abbb12c6ab5c2e11b5e2276a4e2c5d1baa19"
+        )
 
 
 class TestDropWakeups:

@@ -8,8 +8,10 @@ degrades to a failed outcome instead of killing its sweep.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import http.client
+import threading
 
 import pytest
 
@@ -615,6 +617,77 @@ class TestService:
         assert metrics["jobs_failed"] == 0
         assert metrics["service"]["traces_spooled"] == 1
         assert {"p50_s", "p90_s", "p99_s"} <= set(metrics["latency"])
+
+    @pytest.mark.parametrize("damage", [None, "mangle-tid"])
+    def test_upload_spools_the_bytes_it_fingerprints(
+        self, service_conn, log_text, damage, monkeypatch
+    ):
+        from repro.jobs.service import PredictionService
+
+        conn, service = service_conn
+        body = log_text if damage is None else corrupt(log_text, damage, seed=3)
+        dumps_calls, store_threads = [], []
+        dumps = logfile.dumps
+        store = PredictionService.store_salvaged
+        monkeypatch.setattr(
+            logfile, "dumps", lambda *a, **kw: dumps_calls.append(1) or dumps(*a, **kw)
+        )
+        monkeypatch.setattr(
+            PredictionService,
+            "store_salvaged",
+            lambda self, result: store_threads.append(threading.current_thread().name)
+            or store(self, result),
+        )
+        status, uploaded = _request(conn, "POST", "/traces", body)
+        monkeypatch.undo()
+
+        assert status == 200
+        assert uploaded["salvage"]["clean"] is (damage is None)
+        assert len(dumps_calls) == 1  # one canonical serialisation per upload
+        assert store_threads[0].startswith("vppb-svc")  # stored off the event loop
+        spool = service.spool_dir / f"{uploaded['trace']}.log"
+        assert hashlib.sha256(spool.read_bytes()).hexdigest() == uploaded["trace"]
+        assert trace_fingerprint(logfile.load(spool)) == uploaded["trace"]
+        assert [p.name for p in service.spool_dir.iterdir()] == [spool.name]
+
+    def test_concurrent_stores_of_one_trace_agree(self, log_text, tmp_path):
+        # uploads are stored on executor threads: racing stores of one
+        # trace all answer its fingerprint, every one is counted, and
+        # they leave one complete spool file and no temporary files
+        import sys
+
+        from repro.jobs.service import PredictionService
+        from repro.recorder.salvage import salvage_loads
+
+        service = PredictionService(JobEngine(mode="inline"), spool_dir=tmp_path)
+        results = [salvage_loads(log_text) for _ in range(8)]
+        seen, errors = [], []
+
+        def store_then_read(result):
+            try:
+                for _ in range(5):
+                    fp = service.store_salvaged(result)["trace"]
+                    data = (tmp_path / f"{fp}.log").read_bytes()
+                    seen.append(hashlib.sha256(data).hexdigest() == fp)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=store_then_read, args=(r,)) for r in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.engine.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert seen == [True] * 40
+        assert service.streamed_uploads == 40
+        assert len(list(tmp_path.iterdir())) == 1  # no temporary file left behind
 
     def test_predict_inline_log(self, service_conn, log_text):
         conn, _service = service_conn

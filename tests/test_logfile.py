@@ -119,6 +119,79 @@ class TestParseErrors:
         assert len(trace) == 0
 
 
+#: one thread locking one mutex twice from two source lines
+_MEMO_LOG = """# vppb-log 1
+# program: memo
+0.000000 T1 call start_collect
+0.000010 T1 call mutex_lock obj=mutex:m src=a.c|7|main
+0.000012 T1 ret mutex_lock obj=mutex:m status=ok src=a.c|7|main
+0.000020 T1 call mutex_unlock obj=mutex:m src=a.c|9|main
+0.000022 T1 ret mutex_unlock obj=mutex:m status=ok src=a.c|9|main
+"""
+
+
+class TestTokenMemo:
+    """Each parse decodes a repeated token once, and never memoises damage."""
+
+    def test_repeated_tokens_decode_to_one_object_per_parse(self):
+        first = logfile.loads(_MEMO_LOG)
+        assert first[1].source is first[2].source
+        assert first[1].obj is first[3].obj
+        again = logfile.loads(_MEMO_LOG)
+        assert again[1].source == first[1].source
+        assert again[1].source is not first[1].source  # the memo lives for one parse
+
+    @pytest.mark.parametrize(
+        "good, bad, message, column",
+        [
+            ("src=a.c|9|main", "src=a.c|x|main", "bad src line number 'x'", 21),
+            ("obj=mutex:m", "obj=:m", "bad object id ':m'", 34),
+        ],
+    )
+    def test_token_damaged_on_two_lines(self, good, bad, message, column):
+        lines = _MEMO_LOG.splitlines(keepends=True)
+        text = "".join(lines[:5] + [line.replace(good, bad) for line in lines[5:]])
+        assert text.count(bad) == 2
+        with pytest.raises(LogFormatError) as ei:
+            logfile.loads(text)
+        assert (ei.value.lineno, ei.value.column, ei.value.message) == (6, column, message)
+
+        from repro.recorder.salvage import salvage_loads
+
+        repairs = salvage_loads(text).report.repairs
+        assert [(r.kind, r.lineno, r.detail) for r in repairs] == [
+            ("skipped-attribute", 6, message),
+            ("skipped-attribute", 7, message),
+        ]
+
+    def test_damaged_tid_column_is_not_served_from_an_attribute(self):
+        # "target=T4" is memoised as a thread id; a thread column holding
+        # an attribute token must still be rejected
+        text = (
+            "# vppb-log 1\n"
+            "0.000000 T1 call thr_join target=T4\n"
+            "0.000001 obj=mutex:m call thr_exit\n"
+        )
+        with pytest.raises(LogFormatError) as ei:
+            logfile.loads(text)
+        assert ei.value.lineno == 3 and "bad thread id" in ei.value.message
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "fft", "lu", "ocean", "prodcons", "prodcons-racy",
+            "prodcons-tuned", "radix", "synthetic", "water",
+        ],
+    )
+    def test_dumps_of_loads_is_identity_on_fixture_workloads(self, name):
+        from repro import record_program
+        from repro.workloads import get_workload
+
+        trace = record_program(get_workload(name).make_program(4, 0.05)).trace
+        text = logfile.dumps(trace)
+        assert logfile.dumps(logfile.loads(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # property-based round-trip over arbitrary records
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ well-formed program:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import SimConfig, compile_trace, predict
@@ -29,6 +29,9 @@ _SETTINGS = settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    # a failing draw prints its @reproduce_failure line, so a CI log
+    # is enough to replay it
+    print_blob=True,
 )
 
 _programs = st.builds(
@@ -42,6 +45,13 @@ _programs = st.builds(
 )
 
 _cpus = st.integers(min_value=1, max_value=6)
+
+
+def _spawn_join(seed):
+    """The smallest generated program: main spawns and joins one child."""
+    return random_program(
+        seed=seed, nthreads=1, steps=1, n_mutexes=1, n_semas=1, use_barriers=False
+    )
 
 
 class TestMachineInvariants:
@@ -107,12 +117,47 @@ class TestWorkConservation:
 
     @_SETTINGS
     @given(program=_programs, cpus=_cpus)
+    @example(program=_spawn_join(904), cpus=1)
+    @example(program=_spawn_join(2276), cpus=1)
     def test_speedup_bounded_by_machine(self, program, cpus):
+        # Both sides in one LWP regime (an LWP per thread).  Against the
+        # one-LWP uniprocessor the bound does not hold: that run pays
+        # user-level thread switches which the paper's model makes free
+        # once each thread has its own LWP (see TestLwpSwitchApproximation).
         from repro.program.mpexec import run_multiprocessor
 
-        uni = run_multiprocessor(program, uniprocessor_config())
+        one = run_multiprocessor(program, SimConfig(cpus=1))
         mp = run_multiprocessor(program, SimConfig(cpus=cpus))
-        assert uni.makespan_us / max(1, mp.makespan_us) <= cpus * 1.05
+        assert one.makespan_us / max(1, mp.makespan_us) <= cpus * 1.05
+
+
+class TestLwpSwitchApproximation:
+    """The §6 approximation, pinned where it shows.
+
+    ``lwp_switch_us=0``: the paper's simulator does not charge an LWP
+    context switch on a multiprocessor.  A one-child spawn-and-join
+    program on one CPU therefore runs faster with an LWP per thread than
+    on the Recorder's single LWP, which pays two ``thread_switch_us``
+    charges.  Charging the LWP switch closes the gap.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, one_lwp_us, lwp_per_thread_us", [(904, 323, 303), (2276, 233, 213)]
+    )
+    def test_one_cpu_beats_one_lwp_by_the_uncharged_switches(
+        self, seed, one_lwp_us, lwp_per_thread_us
+    ):
+        from repro.program.mpexec import run_multiprocessor
+        from repro.solaris.costs import CostModel
+
+        def makespan(config):
+            return run_multiprocessor(_spawn_join(seed), config).makespan_us
+
+        assert makespan(uniprocessor_config()) == one_lwp_us
+        assert makespan(SimConfig(cpus=1)) == lwp_per_thread_us
+        charged = CostModel(lwp_switch_us=10)
+        assert makespan(uniprocessor_config(SimConfig(costs=charged))) == one_lwp_us
+        assert makespan(SimConfig(cpus=1, costs=charged)) == one_lwp_us
 
 
 class TestPipelineInvariants:
