@@ -19,7 +19,9 @@ import time
 
 import pytest
 
+from repro.core.config import SimConfig
 from repro.jobs import JobEngine, ResultCache, TraceRef
+from repro.jobs.manifest import curve_cells, run_grid
 from repro.program.uniexec import record_program
 from repro.workloads import get_workload
 
@@ -27,6 +29,7 @@ from _common import BENCH_SCALE, emit, save_json
 
 SWEEP_CPUS = list(range(1, 9))
 POOL_WORKERS = 4
+CELLS = curve_cells(SimConfig(), SWEEP_CPUS)
 
 
 @pytest.fixture(scope="module")
@@ -40,45 +43,36 @@ def trace_ref(trace):
     return TraceRef.from_trace(trace)
 
 
+def _sweep(engine, trace_ref, **kw):
+    """The speed-up curve over SWEEP_CPUS, through the grid runner."""
+    return run_grid(engine, trace_ref, CELLS, **kw).speedups()
+
+
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
 
 
-def test_sweep_throughput(benchmark, trace, trace_ref, tmp_path_factory):
+def test_sweep_throughput(benchmark, trace_ref, tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("sweep-cache")
 
     # serial reference: inline engine, no cache
     def serial():
-        return JobEngine(mode="inline").predict_speedups(
-            trace, SWEEP_CPUS, trace_ref=trace_ref, use_cache=False
-        )
+        return _sweep(JobEngine(mode="inline"), trace_ref, use_cache=False)
 
     serial_preds, serial_s = _timed(serial)
 
     # pooled, cold: fresh pool + fresh disk cache
     pooled_engine = JobEngine(workers=POOL_WORKERS, cache=ResultCache(cache_dir))
     with pooled_engine:
-        pooled_preds, cold_s = _timed(
-            lambda: pooled_engine.predict_speedups(
-                trace, SWEEP_CPUS, trace_ref=trace_ref
-            )
-        )
+        pooled_preds, cold_s = _timed(lambda: _sweep(pooled_engine, trace_ref))
 
         # warm: identical sweep, same cache — benchmark fixture times this
         warm_preds = benchmark.pedantic(
-            lambda: pooled_engine.predict_speedups(
-                trace, SWEEP_CPUS, trace_ref=trace_ref
-            ),
-            rounds=1,
-            iterations=1,
+            lambda: _sweep(pooled_engine, trace_ref), rounds=1, iterations=1
         )
-        _, warm_s = _timed(
-            lambda: pooled_engine.predict_speedups(
-                trace, SWEEP_CPUS, trace_ref=trace_ref
-            )
-        )
+        _, warm_s = _timed(lambda: _sweep(pooled_engine, trace_ref))
         cache_stats = pooled_engine.cache.stats()
 
     # determinism across execution modes is part of the contract

@@ -10,17 +10,17 @@ one" — invites batch questions.  These helpers answer the common ones:
 * :func:`lwp_sensitivity` — how the program responds to LWP-pool limits
   on a fixed machine (the ``thr_setconcurrency`` tuning question).
 
-All three route through a :class:`~repro.jobs.engine.JobEngine`, so every
+All three run on a :class:`~repro.jobs.engine.JobEngine`, so every
 simulated point is content-addressed: repeated questions about the same
-trace are answered from the result cache, and a pooled engine (pass one,
-or set ``VPPB_WORKERS``) runs the points in parallel.  Numbers are
-identical to the old serial implementations — the simulator is
-deterministic and the engine executes the same jobs.
+trace are answered from the result cache, and a pooled engine (pass one)
+runs the points in parallel.  The speed-up questions go through
+:func:`repro.jobs.manifest.run_grid`, like ``vppb batch``, so their
+numbers equal the serial :func:`repro.core.predictor.predict_speedup`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.critical_path import max_speedup
@@ -51,9 +51,13 @@ def speedup_curve(
     engine: "Optional[JobEngine]" = None,
 ) -> List[SpeedupPrediction]:
     """Predicted speed-up for every machine size from 1 to *max_cpus*."""
+    from repro.jobs.manifest import curve_cells, run_grid
+    from repro.jobs.model import TraceRef
+
     if max_cpus < 1:
         raise ValueError(f"max_cpus must be >= 1, got {max_cpus}")
-    return _engine(engine).speedup_curve(trace, max_cpus, base_config=base_config)
+    cells = curve_cells(base_config or SimConfig(), range(1, max_cpus + 1))
+    return run_grid(_engine(engine), TraceRef.from_trace(trace), cells).speedups()
 
 
 @dataclass(frozen=True)
@@ -92,18 +96,19 @@ def find_knee(
     """
     if not 0 < target_fraction <= 1:
         raise ValueError(f"target_fraction must be in (0, 1], got {target_fraction}")
+    if max_cpus < 1:
+        raise ValueError(f"max_cpus must be >= 1, got {max_cpus}")
+    from repro.jobs.manifest import curve_cells, run_grid
+    from repro.jobs.model import TraceRef
+
     eng = _engine(engine)
     bound = max_speedup(trace, base_config=base_config)
     target = bound * target_fraction
-
-    from repro.jobs.model import TraceRef
-
+    base = base_config or SimConfig()
     ref = TraceRef.from_trace(trace)
 
     def probe(cpus: int) -> SpeedupPrediction:
-        return eng.predict_speedups(
-            trace, [cpus], base_config=base_config, trace_ref=ref
-        )[0]
+        return run_grid(eng, ref, curve_cells(base, [cpus])).speedups()[0]
 
     # exponential probe
     cpus = 1
@@ -136,7 +141,11 @@ def lwp_sensitivity(
     base_config: Optional[SimConfig] = None,
     engine: "Optional[JobEngine]" = None,
 ) -> Dict[Optional[int], int]:
-    """Makespan under each LWP-pool limit (None = on-demand)."""
+    """Makespan under each LWP-pool limit (None = on-demand).
+
+    Every other field of *base_config* (thread policies, RT quantum,
+    costs, scheduler) carries over to each point.
+    """
     from repro.jobs.model import SimJob, TraceRef
 
     base = base_config or SimConfig()
@@ -144,15 +153,7 @@ def lwp_sensitivity(
     jobs = [
         SimJob(
             trace=ref,
-            config=SimConfig(
-                cpus=cpus,
-                lwps=lwps,
-                comm_delay_us=base.comm_delay_us,
-                costs=base.costs,
-                dispatch=base.dispatch,
-                time_slicing=base.time_slicing,
-                scheduler=base.scheduler,
-            ),
+            config=replace(base, cpus=cpus, lwps=lwps),
             label=f"lwps={lwps}",
         )
         for lwps in lwp_counts

@@ -30,7 +30,6 @@ from repro.analytic.calibrate import (
     DEFAULT_GRID_CPUS,
     DEFAULT_PAD,
     calibrate_analytic,
-    calibration_configs,
     default_analytic_suite,
     verify_profile,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "TraceStats",
     "binding_of",
     "calibrate_analytic",
-    "calibration_configs",
     "default_analytic_suite",
     "default_profile_path",
     "estimate_makespan",

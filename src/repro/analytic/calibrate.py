@@ -12,6 +12,10 @@ and model the observed ``DES / model_point`` ratio range — padded by a
 safety factor — becomes the ``(lo, hi)`` band stored in the
 :class:`~repro.analytic.profile.AnalyticProfile`.
 
+The grid comes from :func:`repro.jobs.manifest.expand_grid`, the
+expander behind sweep manifests, so the margins are fitted on the cells
+a manifest over the same axes screens.
+
 By construction the resulting intervals bracket the DES makespan on
 100 % of the calibration cells; :func:`verify_profile` re-checks that
 invariant (CI's ``analytic-gate`` runs it against the committed
@@ -20,11 +24,9 @@ profile) and reports any violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.config import SimConfig, ThreadPolicy
 from repro.core.errors import CalibrationError
 from repro.calib.measure import WorkloadSpec
 from repro.jobs.fingerprint import ENGINE_VERSION
@@ -41,7 +43,6 @@ from repro.analytic.stats import TraceStats, extract_stats
 __all__ = [
     "DEFAULT_GRID_CPUS",
     "default_analytic_suite",
-    "calibration_configs",
     "calibrate_analytic",
     "verify_profile",
 ]
@@ -74,47 +75,6 @@ def default_analytic_suite() -> List[WorkloadSpec]:
     ]
 
 
-@dataclass(frozen=True)
-class _GridCell:
-    """One calibration point: a config plus its exact margin key."""
-
-    config: SimConfig
-    key: str  # "scheduler/binding/Ncpu"
-    label: str
-
-
-def calibration_configs(
-    trace_thread_ids: Sequence[int],
-    *,
-    cpus: Sequence[int] = DEFAULT_GRID_CPUS,
-    bindings: Sequence[str] = DEFAULT_BINDINGS,
-    schedulers: Optional[Sequence[str]] = None,
-) -> List[_GridCell]:
-    """Expand the calibration grid for one trace's thread set."""
-    if schedulers is None:
-        from repro.sched import available_backends
-
-        schedulers = available_backends()
-    bound_policies = {int(t): ThreadPolicy(bound=True) for t in trace_thread_ids}
-    cells: List[_GridCell] = []
-    for sched in schedulers:
-        for binding in bindings:
-            policies = bound_policies if binding == "bound" else {}
-            for n in cpus:
-                cells.append(
-                    _GridCell(
-                        config=SimConfig(
-                            cpus=n,
-                            thread_policies=policies,
-                            scheduler=sched,
-                        ),
-                        key=f"{sched}/{binding}/{n}cpu",
-                        label=f"{n}cpu/{binding}/{sched}",
-                    )
-                )
-    return cells
-
-
 def _record_suite(
     specs: Sequence[WorkloadSpec],
     progress: Optional[Callable[[str], None]] = None,
@@ -138,6 +98,31 @@ def _record_suite(
     return out
 
 
+def _ground_truth(recorded, grid: Dict[str, Any], engine, use_cache, progress):
+    """DES makespans of *grid* (a profile's ``cpus``/``bindings``/
+    ``schedulers`` axes) over every recorded trace, in one engine batch:
+    ``[((workload name, GridCell), JobOutcome), ...]``."""
+    from repro.jobs.manifest import expand_grid
+    from repro.jobs.model import SimJob, TraceRef
+    from repro.sched import available_backends
+
+    cells, jobs = [], []
+    for spec, trace in recorded:
+        ref = TraceRef.from_trace(trace)
+        for cell in expand_grid(
+            trace.thread_ids(),
+            grid.get("cpus", DEFAULT_GRID_CPUS),
+            bindings=grid.get("bindings", DEFAULT_BINDINGS),
+            schedulers=grid.get("schedulers") or available_backends(),
+        ):
+            cells.append((spec.name, cell))
+            label = f"{spec.name}:{cell.label}"
+            jobs.append(SimJob(trace=ref, config=cell.config, label=label))
+    if progress:
+        progress(f"simulating {len(jobs)} ground-truth cells")
+    return list(zip(cells, engine.run(jobs, use_cache=use_cache)))
+
+
 def calibrate_analytic(
     specs: Optional[Sequence[WorkloadSpec]] = None,
     engine=None,
@@ -151,7 +136,7 @@ def calibrate_analytic(
 ) -> AnalyticProfile:
     """Fit interval margins over *specs* × the configuration grid."""
     from repro.jobs.engine import JobEngine
-    from repro.jobs.model import SimJob, TraceRef
+    from repro.sched import available_backends
 
     if pad < 0:
         raise CalibrationError(f"pad must be >= 0, got {pad}")
@@ -167,28 +152,16 @@ def calibrate_analytic(
         stats_by_name: Dict[str, TraceStats] = {
             spec.name: extract_stats(trace) for spec, trace in recorded
         }
-
-        # one batch of DES ground-truth cells across the whole matrix
-        matrix: List[SimJob] = []
-        cell_meta: List[Tuple[str, _GridCell]] = []
-        for spec, trace in recorded:
-            ref = TraceRef.from_trace(trace)
-            for cell in calibration_configs(
-                [int(t) for t in trace.thread_ids()],
-                cpus=cpus,
-                bindings=bindings,
-                schedulers=schedulers,
-            ):
-                label = f"{spec.name}:{cell.label}"
-                matrix.append(SimJob(trace=ref, config=cell.config, label=label))
-                cell_meta.append((spec.name, cell))
-        if progress:
-            progress(f"simulating {len(matrix)} ground-truth cells")
-        outcomes = engine.run(matrix, use_cache=use_cache)
+        grid = {
+            "cpus": list(cpus),
+            "bindings": list(bindings),
+            "schedulers": list(available_backends() if schedulers is None else schedulers),
+        }
+        truth = _ground_truth(recorded, grid, engine, use_cache, progress)
 
         # observed DES/model ratios, binned per margin level
         ratios: Dict[str, Dict[str, List[float]]] = {}
-        for (name, cell), outcome in zip(cell_meta, outcomes):
+        for (name, cell), outcome in truth:
             if not outcome.ok or not outcome.complete:
                 raise CalibrationError(
                     f"ground-truth cell {outcome.label} failed: "
@@ -224,16 +197,8 @@ def calibrate_analytic(
         profile = AnalyticProfile(
             margins=margins,
             suite=tuple(s.to_dict() for s in specs),
-            grid={
-                "cpus": list(cpus),
-                "bindings": list(bindings),
-                "schedulers": list(
-                    schedulers
-                    if schedulers is not None
-                    else sorted({c.config.scheduler for _, c in cell_meta})
-                ),
-            },
-            samples=len(matrix),
+            grid=grid,
+            samples=len(truth),
             pad=pad,
             engine_version=ENGINE_VERSION,
             analytic_version=ANALYTIC_PROFILE_VERSION,
@@ -245,7 +210,7 @@ def calibrate_analytic(
             engine=engine,
             use_cache=use_cache,
             recorded=recorded,
-            outcomes=list(zip(cell_meta, outcomes)),
+            outcomes=truth,
         )
         if violations:
             raise CalibrationError(
@@ -276,7 +241,6 @@ def verify_profile(
     the work it just did.
     """
     from repro.jobs.engine import JobEngine
-    from repro.jobs.model import SimJob, TraceRef
 
     own_engine = engine is None
     if own_engine:
@@ -289,23 +253,7 @@ def verify_profile(
             spec.name: extract_stats(trace) for spec, trace in recorded
         }
         if outcomes is None:
-            grid = profile.grid
-            matrix = []
-            cell_meta = []
-            for spec, trace in recorded:
-                ref = TraceRef.from_trace(trace)
-                for cell in calibration_configs(
-                    [int(t) for t in trace.thread_ids()],
-                    cpus=grid.get("cpus", DEFAULT_GRID_CPUS),
-                    bindings=grid.get("bindings", DEFAULT_BINDINGS),
-                    schedulers=grid.get("schedulers"),
-                ):
-                    label = f"{spec.name}:{cell.label}"
-                    matrix.append(SimJob(trace=ref, config=cell.config, label=label))
-                    cell_meta.append((spec.name, cell))
-            if progress:
-                progress(f"verifying {len(matrix)} cells against the DES")
-            outcomes = list(zip(cell_meta, engine.run(matrix, use_cache=use_cache)))
+            outcomes = _ground_truth(recorded, profile.grid, engine, use_cache, progress)
 
         violations: List[str] = []
         for (name, cell), outcome in outcomes:

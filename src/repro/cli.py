@@ -53,7 +53,7 @@ from typing import List, Optional
 
 from repro.analysis.metrics import contention_by_object
 from repro.core.config import SimConfig
-from repro.core.predictor import compile_trace, predict, predict_speedup
+from repro.core.predictor import compile_trace, predict
 from repro.core.timebase import to_seconds
 from repro.recorder import logfile
 from repro.visualizer.ascii_render import render_ascii
@@ -85,17 +85,34 @@ def _parse_factor(text: str) -> float:
     return factor
 
 
-def _parse_ways(text: str) -> int:
-    """A shard count: an integer >= 1."""
+def _parse_fraction(text: str) -> float:
+    """A target fraction: a number in (0, 1]."""
     try:
-        ways = int(text)
+        fraction = float(text)
     except ValueError:
-        ways = 0
-    if ways < 1:
+        fraction = math.nan
+    if not 0 < fraction <= 1:
         raise argparse.ArgumentTypeError(
-            f"bad shard count {text!r} (want an integer >= 1)"
+            f"bad fraction {text!r} (want a number in (0, 1])"
         )
-    return ways
+    return fraction
+
+
+def _positive_int(what: str):
+    """Type for integer flags that must be >= 1; *what* names the value."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"bad {what} {text!r} (want an integer >= 1)"
+            )
+        return value
+
+    return parse
 
 
 def _lock_value(parse_value):
@@ -197,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("manifest", help="sweep manifest (JSON; see docs/service.md)")
     p_batch.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int("worker count"), default=None, metavar="N",
         help="worker processes (default: up to 8, one per CPU)",
     )
     p_batch.add_argument(
@@ -232,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $VPPB_ANALYTIC_PROFILE or profiles/analytic.json)",
     )
     p_batch.add_argument(
-        "--target", type=float, default=None, metavar="FRAC",
+        "--target", type=_parse_fraction, default=None, metavar="FRAC",
         help="knee target as a fraction of each group's best speed-up "
         "(default: 0.8)",
     )
@@ -243,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8123)
     p_srv.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int("worker count"), default=None, metavar="N",
         help="worker processes (default: up to 8, one per CPU)",
     )
     p_srv.add_argument(
@@ -332,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         "knee", parents=[common], help="smallest machine near the speed-up bound"
     )
     p_knee.add_argument(
-        "--target", type=float, default=0.8, help="fraction of the bound to reach"
+        "--target", type=_parse_fraction, default=0.8,
+        help="fraction of the bound to reach",
     )
-    p_knee.add_argument("--max-cpus", type=int, default=32)
+    p_knee.add_argument("--max-cpus", type=_positive_int("CPU count"), default=32)
 
     p_what = sub.add_parser(
         "whatif", parents=[common], help="preview tuning hypotheses on the trace"
@@ -353,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LOCK:F", help="scale the work held under LOCK by F",
     )
     p_what.add_argument(
-        "--shard-lock", type=_lock_value(_parse_ways), default=None,
+        "--shard-lock", type=_lock_value(_positive_int("shard count")), default=None,
         metavar="LOCK:N", help="split LOCK into N round-robin shards",
     )
     p_what.add_argument(
@@ -600,17 +618,24 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _speedups(engine, trace, cpus: List[int], base: SimConfig, **kw):
+    """*trace*'s speed-up curve over *cpus*: one grid, read strictly."""
+    from repro.jobs import TraceRef
+    from repro.jobs.manifest import curve_cells, run_grid
+
+    grid = run_grid(engine, TraceRef.from_trace(trace), curve_cells(base, cpus), **kw)
+    return grid.speedups()
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     trace = logfile.load(args.log)
-    plan = compile_trace(trace)
     print(f"{trace.meta.program}: {len(trace)} events, "
           f"{len(trace.thread_ids())} threads")
-    for cpus in args.cpus:
-        pred = predict_speedup(
-            trace, cpus, base_config=_config_from(args, cpus), plan=plan
-        )
+    from repro.jobs import default_engine
+
+    for pred in _speedups(default_engine(), trace, args.cpus, _config_from(args, 1)):
         print(
-            f"  {cpus:>2} CPUs: predicted speed-up {pred.speedup:.2f} "
+            f"  {pred.cpus:>2} CPUs: predicted speed-up {pred.speedup:.2f} "
             f"({to_seconds(pred.makespan_us):.3f}s vs "
             f"{to_seconds(pred.uniprocessor_us):.3f}s on one)"
         )
@@ -677,11 +702,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         engine = default_engine()
     try:
-        predictions = engine.predict_speedups(
-            trace,
-            args.cpus,
-            base_config=_config_from(args, 1),
-            use_cache=not args.no_cache,
+        predictions = _speedups(
+            engine, trace, args.cpus, _config_from(args, 1), use_cache=not args.no_cache
         )
         print(f"speed-up prediction for {trace.meta.program}")
         for pred in predictions:
@@ -891,7 +913,8 @@ def _whatif_schedulers(args: argparse.Namespace) -> int:
     through the default :class:`JobEngine` and its result cache, so
     repeated comparisons are served from content-addressed results.
     """
-    from repro.jobs import default_engine
+    from repro.jobs import TraceRef, default_engine
+    from repro.jobs.manifest import expand_grid, run_grid
     from repro.sched import available_backends
 
     names = [s.strip() for s in args.scheduler.split(",") if s.strip()]
@@ -909,14 +932,13 @@ def _whatif_schedulers(args: argparse.Namespace) -> int:
         return 2
 
     trace = logfile.load(args.log)
-    engine = default_engine()
-    base = _config_from(args, 1)
-    rows = []
-    for name in names:
-        preds = engine.predict_speedups(
-            trace, [args.cpus], base_config=base.with_scheduler(name)
-        )
-        rows.append((name, preds[0]))
+    cells = expand_grid(
+        trace.thread_ids(), [args.cpus], lwps=[args.lwps],
+        comm_delays_us=[args.comm_delay], schedulers=names,
+        base=_config_from(args, 1),
+    )
+    grid = run_grid(default_engine(), TraceRef.from_trace(trace), cells)
+    rows = list(zip(names, grid.speedups()))
     print(
         f"cross-kernel what-if for {trace.meta.program} on {args.cpus} "
         "CPUs (baseline: recorded uniprocessor run)"

@@ -22,13 +22,14 @@ layers that exploit that:
   service (one asyncio front end with admission control, deadlines and
   a circuit breaker — primitives in :mod:`repro.jobs.resilience` —
   around the transport-free :class:`PredictionService` core), and the
-  retrying ``vppb client``.  Batch sweeps and ``POST /predict`` share
-  one prediction path, :func:`run_grid`: shared baseline, one job per
-  grid cell, tier escalation (:mod:`repro.jobs.tiering`), decisions.
+  retrying ``vppb client``.
 
-The analysis sweeps (:func:`repro.analysis.whatif.speedup_curve` and
-friends) route through :func:`default_engine`, so library callers share
-one cache — and one pool, when ``VPPB_WORKERS`` asks for it.
+Every speed-up question (``vppb batch``, ``POST /predict``, ``vppb
+predict``/``report``/``knee``/``whatif --scheduler`` and the analysis
+sweeps) takes one path, :func:`run_grid`: shared baseline, one job per
+grid cell, tier escalation (:mod:`repro.jobs.tiering`), decisions.  The
+engine only runs jobs; callers that pass none share the inline
+:func:`default_engine`.
 """
 
 from repro.jobs.cache import CACHE_FORMAT_VERSION, ResultCache, default_cache_dir

@@ -31,6 +31,10 @@ into :class:`~repro.jobs.model.JobOutcome`, in order, with:
 ``mode="inline"`` runs the identical worker code path in-process — the
 degenerate pool used for tiny traces, tests, and determinism checks
 (inline, pooled and cached execution must agree bit for bit).
+
+The engine runs jobs and knows nothing of baselines or speed-ups:
+:func:`repro.jobs.manifest.run_grid` pairs a uniprocessor baseline with
+grid cells, and every speed-up question goes through it.
 """
 
 from __future__ import annotations
@@ -42,13 +46,9 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import SimConfig
-from repro.core.errors import SimulationError
-from repro.core.predictor import SpeedupPrediction
-from repro.core.trace import Trace
 from repro.jobs.cache import ResultCache
 from repro.jobs.metrics import EngineMetrics
-from repro.jobs.model import JobOutcome, SimJob, TraceRef
+from repro.jobs.model import JobOutcome, SimJob
 from repro.jobs.resilience import CircuitBreaker, backoff_delays
 from repro.jobs.worker import run_payload
 
@@ -329,77 +329,6 @@ class JobEngine:
             breaker=self.breaker.snapshot() if self.breaker else None,
         )
 
-    # ------------------------------------------------------------------
-    # sweep helpers (the engine-backed analysis entry points)
-    # ------------------------------------------------------------------
-
-    def predict_speedups(
-        self,
-        trace: Trace,
-        cpu_counts: Sequence[int],
-        *,
-        base_config: Optional[SimConfig] = None,
-        trace_ref: Optional[TraceRef] = None,
-        use_cache: bool = True,
-        allow_partial: bool = False,
-    ) -> List[SpeedupPrediction]:
-        """Engine-backed :func:`repro.core.predictor.predict_speedup` sweep.
-
-        Identical numbers to the serial path: the baseline is the
-        replayed uni-processor execution of the same base config, and
-        the simulator itself is deterministic.  Raises
-        :class:`SimulationError` if any job failed — including partial
-        replays (deadlock, budget), matching the serial strict
-        behaviour, unless ``allow_partial`` accepts them.
-        """
-        from repro.program.uniexec import uniprocessor_config
-
-        base = base_config or SimConfig()
-        ref = trace_ref or TraceRef.from_trace(trace)
-        jobs = [SimJob(trace=ref, config=uniprocessor_config(base), label="baseline")]
-        jobs += [
-            SimJob(trace=ref, config=base.with_cpus(n), label=f"{n}cpu")
-            for n in cpu_counts
-        ]
-        outcomes = self.run(jobs, use_cache=use_cache)
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise SimulationError(
-                    f"batch job {outcome.label or outcome.fingerprint[:12]} "
-                    f"failed: {outcome.error}"
-                )
-            if not outcome.complete and not allow_partial:
-                raise SimulationError(
-                    f"batch job {outcome.label or outcome.fingerprint[:12]} "
-                    f"came back partial ({outcome.status}): {outcome.reason}"
-                )
-        baseline_us = outcomes[0].makespan_us
-        return [
-            SpeedupPrediction(
-                cpus=n, uniprocessor_us=baseline_us, makespan_us=out.makespan_us
-            )
-            for n, out in zip(cpu_counts, outcomes[1:])
-        ]
-
-    def speedup_curve(
-        self,
-        trace: Trace,
-        max_cpus: int,
-        *,
-        base_config: Optional[SimConfig] = None,
-        use_cache: bool = True,
-        allow_partial: bool = False,
-    ) -> List[SpeedupPrediction]:
-        if max_cpus < 1:
-            raise ValueError(f"max_cpus must be >= 1, got {max_cpus}")
-        return self.predict_speedups(
-            trace,
-            list(range(1, max_cpus + 1)),
-            base_config=base_config,
-            use_cache=use_cache,
-            allow_partial=allow_partial,
-        )
-
 
 # ---------------------------------------------------------------------------
 # the shared default engine
@@ -412,20 +341,12 @@ _DEFAULT_LOCK = threading.Lock()
 def default_engine() -> JobEngine:
     """The process-wide engine behind the analysis convenience functions.
 
-    Inline (no worker processes) with a memory-only cache by default, so
-    library callers get result dedup for free without surprise
-    subprocesses.  Set ``VPPB_WORKERS=N`` (N >= 2) to make the default
-    engine a real pool — every existing sweep then parallelises without
-    a code change.
+    Inline (no worker processes) with a memory-only cache, so library
+    callers get result dedup for free without surprise subprocesses.
+    Pass a pooled :class:`JobEngine` to parallelise a sweep.
     """
     global _DEFAULT_ENGINE
     with _DEFAULT_LOCK:
         if _DEFAULT_ENGINE is None:
-            import os
-
-            workers = int(os.environ.get("VPPB_WORKERS", "0") or 0)
-            if workers >= 2:
-                _DEFAULT_ENGINE = JobEngine(workers=workers, mode="process")
-            else:
-                _DEFAULT_ENGINE = JobEngine(mode="inline")
+            _DEFAULT_ENGINE = JobEngine(mode="inline")
         return _DEFAULT_ENGINE

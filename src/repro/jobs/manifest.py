@@ -1,4 +1,4 @@
-"""Sweep manifests: a declarative grid of prediction scenarios.
+"""Sweep manifests and the grid runner every speed-up question goes through.
 
 A manifest is a small JSON document describing everything ``vppb
 batch`` should simulate from one trace::
@@ -12,10 +12,12 @@ batch`` should simulate from one trace::
       "schedulers": ["solaris", "clutch", "cfs"]
     }
 
-``cpus`` may also be a ``{"min": 1, "max": 8}`` range.  The grid is the
-cross product of all five axes; every cell becomes one content-addressed
-job plus one shared uniprocessor-baseline job, so speed-ups match the
-serial :func:`repro.analysis.whatif.speedup_curve` exactly.
+``cpus`` may also be a ``{"min": 1, "max": 8}`` range; every value is an
+integer (:func:`grid_int`).  :func:`expand_grid` makes the cross product
+of all five axes, :func:`curve_cells` one ``<n>cpu`` curve, and
+:func:`run_grid` — the only code that pairs a uniprocessor baseline with
+grid cells — answers either, so speed-ups match the serial
+:func:`repro.core.predictor.predict_speedup` exactly.
 
 ``bindings`` values: ``"unbound"`` replays threads on the shared LWP
 pool as recorded; ``"bound"`` gives every thread its own LWP (the §3.2
@@ -31,13 +33,16 @@ non-default backends, so single-kernel manifests keep their labels.
 from __future__ import annotations
 
 import difflib
+import itertools
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SimConfig, ThreadPolicy
-from repro.core.errors import AnalysisError, ConfigError
+from repro.core.errors import AnalysisError, ConfigError, SimulationError
+from repro.core.predictor import SpeedupPrediction
 from repro.core.result import RunStatus
 from repro.core.trace import Trace
 from repro.jobs.engine import Budget, JobEngine
@@ -56,6 +61,9 @@ __all__ = [
     "GridRun",
     "ScenarioResult",
     "SweepManifest",
+    "curve_cells",
+    "expand_grid",
+    "grid_int",
     "run_grid",
     "run_manifest",
 ]
@@ -67,20 +75,31 @@ _MANIFEST_KEYS = (
 )
 
 
+def grid_int(value: Any, what: str) -> int:
+    """*value* as a grid integer, else an :class:`AnalysisError` naming *what*.
+
+    Refuses bools, strings and numbers with a fraction instead of
+    coercing them: ``int(2.9)`` would answer 2 CPUs and ``int(True)`` 1.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise AnalysisError(f"bad {what} {value!r}: must be an integer")
+
+
 def _parse_cpus(value: Any) -> List[int]:
     if isinstance(value, dict):
         try:
-            lo, hi = int(value["min"]), int(value["max"])
-        except (KeyError, TypeError, ValueError):
+            lo = grid_int(value["min"], "cpus min")
+            hi = grid_int(value["max"], "cpus max")
+        except KeyError:
             raise AnalysisError(f"bad cpus range {value!r} (need min/max ints)")
         if not 1 <= lo <= hi:
             raise AnalysisError(f"bad cpus range {lo}..{hi}")
         return list(range(lo, hi + 1))
     if isinstance(value, list) and value:
-        try:
-            cpus = [int(v) for v in value]
-        except (TypeError, ValueError):
-            raise AnalysisError(f"bad cpus list {value!r}")
+        cpus = [grid_int(v, "cpus value") for v in value]
         if any(n < 1 for n in cpus):
             raise AnalysisError(f"bad cpus list {value!r}: counts must be >= 1")
         return cpus
@@ -108,8 +127,8 @@ class SweepManifest:
     ) -> "SweepManifest":
         if not isinstance(data, dict):
             raise AnalysisError("manifest must be a JSON object")
-        if "trace" not in data:
-            raise AnalysisError("manifest is missing the 'trace' key")
+        if not isinstance(data.get("trace"), (str, Path)):
+            raise AnalysisError("manifest needs a 'trace' key naming a log file")
         unknown = sorted(set(data) - set(_MANIFEST_KEYS))
         if unknown:
             # a typo'd axis silently shrinking the grid is the worst
@@ -127,34 +146,33 @@ class SweepManifest:
         trace_path = Path(data["trace"])
         if base_dir is not None and not trace_path.is_absolute():
             trace_path = base_dir / trace_path
-        bindings = tuple(data.get("bindings", ["unbound"]))
+
+        def axis(key: str, default: List[Any]) -> List[Any]:
+            values = data.get(key, default)
+            if not isinstance(values, list) or not values:
+                raise AnalysisError(f"manifest {key!r} must be a non-empty list, got {values!r}")
+            return values
+
+        bindings = tuple(axis("bindings", ["unbound"]))
         for b in bindings:
             if b not in _BINDINGS:
                 raise AnalysisError(
                     f"unknown binding {b!r} (expected one of {_BINDINGS})"
                 )
-        lwps_raw = data.get("lwps", [None])
-        lwps: List[Optional[int]] = []
-        for v in lwps_raw:
-            if v is None:
-                lwps.append(None)
-            else:
-                try:
-                    lwps.append(int(v))
-                except (TypeError, ValueError):
-                    raise AnalysisError(f"bad lwps value {v!r}")
-        delays = [int(v) for v in data.get("comm_delay_us", [0])]
+        lwps = [
+            None if v is None else grid_int(v, "lwps value")
+            for v in axis("lwps", [None])
+        ]
+        delays = [grid_int(v, "comm_delay_us value") for v in axis("comm_delay_us", [0])]
         from repro.sched import available_backends
 
-        schedulers = tuple(data.get("schedulers", ["solaris"]))
+        schedulers = tuple(axis("schedulers", ["solaris"]))
         known = available_backends()
         for s in schedulers:
             if s not in known:
                 raise AnalysisError(
                     f"unknown scheduler {s!r} (expected one of {known})"
                 )
-        if not bindings or not lwps or not delays or not schedulers:
-            raise AnalysisError("manifest axes must be non-empty")
         return cls(
             trace_path=trace_path,
             cpus=tuple(_parse_cpus(data.get("cpus", [2, 4, 8]))),
@@ -186,39 +204,14 @@ class SweepManifest:
 
     def configs(self, trace: Trace) -> List["GridCell"]:
         """Expand the grid; needs the trace for the all-bound policy."""
-        tids = [int(t) for t in trace.thread_ids()]
-        bound_policies = {t: ThreadPolicy(bound=True) for t in tids}
-        cells = []
-        for scheduler in self.schedulers:
-            for binding in self.bindings:
-                policies = bound_policies if binding == "bound" else {}
-                for lwps in self.lwps:
-                    for delay in self.comm_delays_us:
-                        # one speed-up curve per binding/lwps/comm/scheduler
-                        group = binding
-                        if lwps is not None:
-                            group += f"/lwps={lwps}"
-                        if delay:
-                            group += f"/comm={delay}us"
-                        if scheduler != "solaris":
-                            group += f"/{scheduler}"
-                        for cpus in self.cpus:
-                            cells.append(
-                                GridCell(
-                                    label=f"{cpus}cpu/{group}",
-                                    group=group,
-                                    cpus=cpus,
-                                    binding=binding,
-                                    config=SimConfig(
-                                        cpus=cpus,
-                                        lwps=lwps,
-                                        comm_delay_us=delay,
-                                        thread_policies=policies,
-                                        scheduler=scheduler,
-                                    ),
-                                )
-                            )
-        return cells
+        return expand_grid(
+            trace.thread_ids(),
+            self.cpus,
+            bindings=self.bindings,
+            lwps=self.lwps,
+            comm_delays_us=self.comm_delays_us,
+            schedulers=self.schedulers,
+        )
 
 
 @dataclass(frozen=True)
@@ -234,6 +227,66 @@ class GridCell:
     cpus: int
     binding: str
     config: SimConfig
+
+
+def expand_grid(
+    thread_ids: Iterable[Any],
+    cpus: Sequence[int],
+    *,
+    bindings: Sequence[str] = ("unbound",),
+    lwps: Sequence[Optional[int]] = (None,),
+    comm_delays_us: Sequence[int] = (0,),
+    schedulers: Sequence[str] = ("solaris",),
+    base: Optional[SimConfig] = None,
+) -> List[GridCell]:
+    """The cross product of the grid axes: one speed-up curve per group.
+
+    ``"bound"`` binds every thread in *thread_ids*; *base* (default
+    ``SimConfig()``) supplies the fields no axis sets, such as costs.
+    """
+    base = base or SimConfig()
+    bound = {int(t): ThreadPolicy(bound=True) for t in thread_ids}
+    cells: List[GridCell] = []
+    for scheduler, binding, lwp_limit, delay in itertools.product(
+        schedulers, bindings, lwps, comm_delays_us
+    ):
+        group = binding
+        if lwp_limit is not None:
+            group += f"/lwps={lwp_limit}"
+        if delay:
+            group += f"/comm={delay}us"
+        if scheduler != "solaris":
+            group += f"/{scheduler}"
+        curve = replace(
+            base,
+            lwps=lwp_limit,
+            comm_delay_us=delay,
+            thread_policies=bound if binding == "bound" else {},
+            scheduler=scheduler,
+        )
+        cells += curve_cells(curve, cpus, binding=binding, group=group)
+    return cells
+
+
+def curve_cells(
+    base: SimConfig,
+    cpus: Sequence[int],
+    *,
+    binding: str = "unbound",
+    group: Optional[str] = None,
+) -> List[GridCell]:
+    """One speed-up curve over *cpus*, labelled ``<n>cpu`` (``<n>cpu/<group>``
+    when *group* names the curve, else its group is *binding*)."""
+    return [
+        GridCell(
+            label=f"{n}cpu/{group}" if group else f"{n}cpu",
+            group=group or binding,
+            cpus=n,
+            binding=binding,
+            config=base.with_cpus(n),
+        )
+        for n in cpus
+    ]
 
 
 @dataclass(frozen=True)
@@ -439,6 +492,23 @@ class GridRun:
     baseline_us: Optional[int]
     scenarios: List[ScenarioResult]
     decisions: Dict[str, Any]
+
+    def speedups(self) -> List[SpeedupPrediction]:
+        """Every cell's speed-up, strictly: like the serial predictor,
+        raises :class:`SimulationError` on the first failed or partial
+        job, baseline first."""
+        for o in [self.baseline] + [s.outcome for s in self.scenarios]:
+            if not o.complete:
+                why = (
+                    f"failed: {o.error}" if not o.ok
+                    else f"came back partial ({o.status}): {o.reason}"
+                )
+                raise SimulationError(f"batch job {o.label or o.fingerprint[:12]} {why}")
+        uni_us = self.baseline.makespan_us
+        return [
+            SpeedupPrediction(s.cpus, uni_us, s.outcome.makespan_us)
+            for s in self.scenarios
+        ]
 
 
 def run_grid(

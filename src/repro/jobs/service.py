@@ -62,11 +62,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SimConfig, ThreadPolicy
-from repro.core.errors import ConfigError, VppbError
+from repro.core.errors import AnalysisError, ConfigError, VppbError
 from repro.core.result import RunStatus
 from repro.jobs.engine import JobEngine
 from repro.jobs.fingerprint import canonical_trace
-from repro.jobs.manifest import GridCell, GridRun, run_grid
+from repro.jobs.manifest import GridCell, GridRun, curve_cells, grid_int, run_grid
 from repro.jobs.model import JobOutcome, TraceRef
 from repro.jobs.tiering import DEFAULT_TARGET_FRACTION
 
@@ -242,10 +242,6 @@ class PredictionService:
         cpus = request.get("cpus", [2, 4, 8])
         if not isinstance(cpus, list) or not cpus:
             raise ServiceError(400, "'cpus' must be a non-empty list")
-        try:
-            cpus = [int(n) for n in cpus]
-        except (TypeError, ValueError):
-            raise ServiceError(400, f"bad 'cpus' list: {cpus!r}")
         binding = request.get("binding", "unbound")
         if binding not in ("unbound", "bound"):
             raise ServiceError(400, f"unknown binding {binding!r}")
@@ -254,24 +250,17 @@ class PredictionService:
             if binding == "bound"
             else {}
         )
+        lwps = request.get("lwps")
         try:
             base = SimConfig(
-                lwps=request.get("lwps"),
-                comm_delay_us=int(request.get("comm_delay_us", 0)),
+                lwps=None if lwps is None else grid_int(lwps, "'lwps'"),
+                comm_delay_us=grid_int(request.get("comm_delay_us", 0), "'comm_delay_us'"),
                 thread_policies=policies,
                 scheduler=request.get("scheduler", "solaris"),
             )
-            return binding, [
-                GridCell(
-                    label=f"{n}cpu",
-                    group=binding,
-                    cpus=n,
-                    binding=binding,
-                    config=base.with_cpus(n),
-                )
-                for n in cpus
-            ]
-        except (ConfigError, TypeError, ValueError) as exc:
+            cpus = [grid_int(n, "'cpus' value") for n in cpus]
+            return binding, curve_cells(base, cpus, binding=binding)
+        except (AnalysisError, ConfigError) as exc:
             raise ServiceError(400, f"bad configuration: {exc}")
 
     def analytic_profile(self):
@@ -465,7 +454,6 @@ class PredictionService:
         finding is probed under via the engine's cached lint jobs.
         """
         from repro.analysis.lint import run_lint, whatif_lint
-        from repro.core.errors import AnalysisError
 
         ref, trace = self._resolve_trace(request)
         try:

@@ -1,8 +1,18 @@
 """Tests for the ``vppb`` command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro import SimConfig
 from repro.cli import build_parser, main
+from repro.core.predictor import predict_speedup
+from repro.core.timebase import to_seconds
+from repro.jobs import JobEngine, SweepManifest, run_manifest
+from repro.recorder import logfile
+
+PROFILE = Path(__file__).resolve().parents[1] / "profiles" / "default.json"
 
 
 @pytest.fixture
@@ -37,6 +47,14 @@ class TestParser:
             ["whatif", "x.log", "--scale-cs", "buffer:-1"],
             ["whatif", "x.log", "--scale-compute", "-1"],
             ["whatif", "x.log", "--scale-io", "-1"],
+            ["knee", "x.log", "--target", "0"],
+            ["knee", "x.log", "--target", "1.5"],
+            ["knee", "x.log", "--max-cpus", "0"],
+            ["batch", "x.json", "--tier", "auto", "--target", "-1"],
+            ["batch", "x.json", "--tier", "auto", "--target", "1.01"],
+            ["batch", "x.json", "--tier", "sim", "--target", "0.0"],
+            ["batch", "x.json", "--workers", "0"],
+            ["serve", "--workers", "-2"],
         ],
         ids=lambda argv: "=".join(argv[-2:]),
     )
@@ -225,6 +243,113 @@ class TestWhatifCommand:
         )
         assert rc == 2
         assert "cannot be combined" in capsys.readouterr().err
+
+
+class TestOneSweepPath:
+    """``predict``, ``report``, ``knee`` and ``whatif --scheduler`` answer
+    through ``run_grid``: they print the serial predictor's numbers, which
+    are ``vppb batch``'s on the same cells."""
+
+    @pytest.fixture(scope="class")
+    def prodcons(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sweep") / "prodcons.log"
+        assert main(["record", "prodcons", "-s", "0.05", "-o", str(path)]) == 0
+        return path, logfile.load(path)
+
+    @staticmethod
+    def _batch(path, **axes):
+        manifest = SweepManifest.from_dict({"trace": str(path), **axes})
+        report = run_manifest(manifest, JobEngine(mode="inline"))
+        return {s.label: s for s in report.scenarios}
+
+    def test_predict_and_report(self, prodcons, capsys):
+        path, trace = prodcons
+        serial = [predict_speedup(trace, n) for n in (2, 4, 8)]
+        batch = self._batch(path, cpus=[2, 4, 8])
+        for p in serial:
+            cell = batch[f"{p.cpus}cpu/unbound"]
+            assert (cell.outcome.makespan_us, cell.speedup) == (p.makespan_us, p.speedup)
+        capsys.readouterr()
+        assert main(["predict", str(path), "--cpus", "2,4,8"]) == 0
+        predicted = re.findall(
+            r"(\d+) CPUs: predicted speed-up ([\d.]+) \(([\d.]+)s vs ([\d.]+)s",
+            capsys.readouterr().out,
+        )
+        assert predicted == [
+            (
+                str(p.cpus),
+                f"{p.speedup:.2f}",
+                f"{to_seconds(p.makespan_us):.3f}",
+                f"{to_seconds(p.uniprocessor_us):.3f}",
+            )
+            for p in serial
+        ]
+        assert main(["report", str(path), "--cpus", "2,4,8"]) == 0
+        reported = re.findall(r"(\d+) CPUs: ([\d.]+)$", capsys.readouterr().out, re.M)
+        assert reported == [(str(p.cpus), f"{p.speedup:.2f}") for p in serial]
+
+    def test_knee(self, prodcons, capsys):
+        path, trace = prodcons
+        capsys.readouterr()
+        assert main(["knee", str(path), "--max-cpus", "8"]) == 0
+        cpus, speedup = re.search(
+            r"(\d+) CPU\(s\) reach ([\d.]+)x", capsys.readouterr().out
+        ).groups()
+        serial = predict_speedup(trace, int(cpus))
+        assert speedup == f"{serial.speedup:.2f}"
+        assert self._batch(path, cpus=[int(cpus)])[f"{cpus}cpu/unbound"].speedup == (
+            serial.speedup
+        )
+
+    def test_whatif_scheduler(self, prodcons, capsys):
+        path, trace = prodcons
+        names = ["solaris", "clutch", "cfs"]
+        base = SimConfig(lwps=2, comm_delay_us=20)
+        serial = {
+            name: predict_speedup(trace, 4, base_config=base.with_scheduler(name))
+            for name in names
+        }
+        batch = self._batch(
+            path, cpus=[4], lwps=[2], comm_delay_us=[20], schedulers=names
+        )
+        for name in names:
+            suffix = "" if name == "solaris" else f"/{name}"
+            cell = batch[f"4cpu/unbound/lwps=2/comm=20us{suffix}"]
+            assert (cell.outcome.makespan_us, cell.speedup) == (
+                serial[name].makespan_us,
+                serial[name].speedup,
+            )
+        capsys.readouterr()
+        argv = ["whatif", str(path), "--cpus", "4", "--lwps", "2", "--comm-delay", "20"]
+        assert main(argv + ["--scheduler", ",".join(names)]) == 0
+        rows = re.findall(r"^(\w+) +(\d+)us +([\d.]+)$", capsys.readouterr().out, re.M)
+        assert rows == [
+            (name, str(serial[name].makespan_us), f"{serial[name].speedup:.2f}")
+            for name in names
+        ]
+
+    def test_predict_replays_the_baseline_once(self, prodcons, monkeypatch):
+        from repro.calib import CalibrationProfile
+        from repro.core.simulator import Simulator
+        from repro.jobs import engine as engine_mod
+
+        path, _ = prodcons
+        # a cold default engine: nothing answered from an earlier test's cache
+        monkeypatch.setattr(engine_mod, "_DEFAULT_ENGINE", JobEngine(mode="inline"))
+        replays, loads = [], []
+        run_replay, load = Simulator.run_replay, CalibrationProfile.load
+        monkeypatch.setattr(
+            Simulator,
+            "run_replay",
+            lambda self, *a, **kw: replays.append(1) or run_replay(self, *a, **kw),
+        )
+        monkeypatch.setattr(
+            CalibrationProfile, "load", lambda p: loads.append(p) or load(p)
+        )
+        argv = ["predict", str(path), "--cpus", "2,4,8", "--profile", str(PROFILE)]
+        assert main(argv) == 0
+        # one shared baseline plus one replay per CPU count
+        assert (len(replays), len(loads)) == (4, 1)
 
 
 class TestDoctorCommand:

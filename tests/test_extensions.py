@@ -1,10 +1,13 @@
 """Tests for the extension features: POSIX names, I/O modeling, the
 excluded-workload failure modes, what-if sweeps and the stats view."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Program, SimConfig, predict, record_program
 from repro.analysis import find_knee, lwp_sensitivity, speedup_curve
+from repro.core.config import ThreadPolicy
 from repro.core.errors import MonitorabilityError
 from repro.core.events import Phase, Primitive, Status
 from repro.program import ops as op
@@ -18,6 +21,7 @@ from repro.recorder.posix import (
     to_posix_name,
 )
 from repro.visualizer import format_thread_stats, thread_stats
+from repro.workloads import get_workload
 from repro.workloads.excluded import (
     make_spinner,
     make_task_stealer,
@@ -199,6 +203,22 @@ class TestWhatIf:
     def test_speedup_curve_rejects_bad_range(self, trace):
         with pytest.raises(ValueError):
             speedup_curve(trace, 0)
+
+    @pytest.mark.parametrize(
+        "cpus,policy,rt_quantum_us",
+        [(4, ThreadPolicy(bound=True), 100_000), (2, ThreadPolicy(rt_priority=10), 1000)],
+        ids=["all-bound", "rt"],
+    )
+    def test_lwp_sensitivity_keeps_the_base_config(self, cpus, policy, rt_quantum_us):
+        trace = record(get_workload("prodcons").make_program(4, 0.05)).trace
+        base = SimConfig(
+            thread_policies={int(t): policy for t in trace.thread_ids()},
+            rt_quantum_us=rt_quantum_us,
+        )
+        makespans = lwp_sensitivity(trace, cpus, (1, None), base_config=base)
+        for lwps, makespan in makespans.items():
+            config = replace(base, cpus=cpus, lwps=lwps)
+            assert makespan == predict(trace, config).makespan_us
 
 
 class TestStatsView:

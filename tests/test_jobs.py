@@ -31,7 +31,7 @@ from repro.jobs import (
     job_fingerprint,
     trace_fingerprint,
 )
-from repro.jobs.manifest import run_manifest
+from repro.jobs.manifest import curve_cells, run_grid, run_manifest
 from repro.jobs.model import FINGERPRINTS
 from repro.jobs.service import PredictionService
 from repro.jobs.service_async import BackgroundServer
@@ -49,6 +49,12 @@ def trace():
 @pytest.fixture(scope="module")
 def log_text(trace):
     return logfile.dumps(trace)
+
+
+def _curve(engine, trace, cpus, ref=None, **kw):
+    """One speed-up curve through ``run_grid``, read strictly."""
+    ref = ref or TraceRef.from_trace(trace)
+    return run_grid(engine, ref, curve_cells(SimConfig(), cpus), **kw).speedups()
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +176,10 @@ class TestEngineDeterminism:
     def test_inline_pool_and_cache_agree(self, trace):
         cpus = [1, 2, 4]
         inline = JobEngine(mode="inline")
-        inline_preds = inline.predict_speedups(trace, cpus)
+        inline_preds = _curve(inline, trace, cpus)
         with JobEngine(workers=2) as pooled:
-            pool_preds = pooled.predict_speedups(trace, cpus)
-            warm_preds = pooled.predict_speedups(trace, cpus)  # cache hits
+            pool_preds = _curve(pooled, trace, cpus)
+            warm_preds = _curve(pooled, trace, cpus)  # cache hits
             assert pooled.cache.hits >= len(cpus)
         key = lambda preds: [(p.cpus, p.uniprocessor_us, p.makespan_us) for p in preds]
         assert key(inline_preds) == key(pool_preds) == key(warm_preds)
@@ -181,7 +187,7 @@ class TestEngineDeterminism:
     def test_matches_serial_predictor(self, trace):
         plan = compile_trace(trace)
         engine = JobEngine(mode="inline")
-        for pred in engine.predict_speedups(trace, [2, 4]):
+        for pred in _curve(engine, trace, [2, 4]):
             serial = predict_speedup(trace, pred.cpus, plan=plan)
             assert pred.makespan_us == serial.makespan_us
             assert pred.uniprocessor_us == serial.uniprocessor_us
@@ -415,15 +421,20 @@ class TestEngineFaults:
 
     def test_backpressure_bound_still_completes(self, trace):
         with JobEngine(workers=2, max_pending=1) as engine:
-            preds = engine.predict_speedups(trace, [1, 2, 3, 4])
+            preds = _curve(engine, trace, [1, 2, 3, 4])
         assert len(preds) == 4
 
-    def test_failed_job_raises_from_predict_speedups(self, trace, log_text):
+    def test_failed_job_raises_from_grid_speedups(self, trace, log_text):
         bad_text = corrupt(log_text, "mangle-primitive", seed=1)
         engine = JobEngine(mode="inline")
         bad_trace_ref = TraceRef(fingerprint="z" * 64, text=bad_text)
         with pytest.raises(SimulationError):
-            engine.predict_speedups(trace, [2], trace_ref=bad_trace_ref)
+            _curve(engine, trace, [2], ref=bad_trace_ref)
+
+    def test_partial_job_raises_from_grid_speedups(self, trace):
+        engine = JobEngine(mode="inline")
+        with pytest.raises(SimulationError, match="baseline came back partial"):
+            _curve(engine, trace, [2], budget=(5, None))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +508,8 @@ class TestManifest:
     def test_validation_errors(self):
         with pytest.raises(AnalysisError):
             SweepManifest.from_dict({"cpus": [2]})  # no trace
+        with pytest.raises(AnalysisError, match="'trace' key"):
+            SweepManifest.from_dict({"trace": 5, "cpus": [2]})
         with pytest.raises(AnalysisError):
             SweepManifest.from_dict({"trace": "x", "cpus": []})
         with pytest.raises(AnalysisError):
@@ -510,6 +523,29 @@ class TestManifest:
             SweepManifest.from_dict({"trace": "x", "typo_key": 1})
         with pytest.raises(ConfigError, match="did you mean 'schedulers'"):
             SweepManifest.from_dict({"trace": "x", "scheduler": ["solaris"]})
+        # grid values are integers: never truncated (2.9 -> 2) or coerced (True -> 1)
+        for axes in (
+            {"cpus": [2.5, True], "lwps": [True, 2.7]},
+            {"cpus": [2.9]},
+            {"cpus": [True]},
+            {"cpus": ["2"]},
+            {"cpus": {"min": 1, "max": 2.5}},
+            {"lwps": [2.7]},
+            {"comm_delay_us": [7.9]},
+            {"comm_delay_us": [False]},
+        ):
+            with pytest.raises(AnalysisError, match="must be an integer"):
+                SweepManifest.from_dict({"trace": "x", **axes})
+        for axes in ({"lwps": 2}, {"comm_delay_us": 0}, {"bindings": []}):
+            with pytest.raises(AnalysisError, match="must be a non-empty list"):
+                SweepManifest.from_dict({"trace": "x", **axes})
+
+    def test_integral_floats_load_as_ints(self):
+        m = SweepManifest.from_dict(
+            {"trace": "x.log", "cpus": [2.0, 4], "lwps": [None, 2.0], "comm_delay_us": [7.0]}
+        )
+        assert (m.cpus, m.lwps, m.comm_delays_us) == ((2, 4), (None, 2), (7,))
+        assert all(type(n) is int for n in (*m.cpus, m.lwps[1], *m.comm_delays_us))
 
     def test_relative_trace_path_resolves_against_manifest(self, tmp_path):
         (tmp_path / "sweep.json").write_text(
@@ -729,6 +765,30 @@ class TestService:
             json.dumps({"log": log_text, "scheduler": "vms"}),
         )
         assert status == 400 and "unknown scheduler" in body["error"]
+
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/predict", {"lwps": 2.5}),
+            ("/predict", {"lwps": True}),
+            ("/predict", {"cpus": [2.9]}),
+            ("/predict", {"cpus": [True]}),
+            ("/predict", {"comm_delay_us": 7.9}),
+            ("/lint", {"whatif": {"cpus": [2.5]}}),
+            ("/lint", {"whatif": {"lwps": [True]}}),
+        ],
+        ids=[
+            "predict-lwps-2.5", "predict-lwps-true", "predict-cpus-2.9",
+            "predict-cpus-true", "predict-comm-7.9", "lint-cpus-2.5", "lint-lwps-true",
+        ],
+    )
+    def test_non_integer_grid_value_is_400(self, service_conn, log_text, path, body):
+        conn, _service = service_conn
+        status, answer = _request(conn, "POST", path, json.dumps({"log": log_text, **body}))
+        assert status == 400 and "must be an integer" in answer["error"]
+        status, metrics = _request(conn, "GET", "/metrics")
+        assert status == 200
+        assert metrics["jobs_submitted"] == 0 and metrics["jobs_failed"] == 0
 
     def test_bound_binding(self, service_conn, log_text):
         conn, _service = service_conn

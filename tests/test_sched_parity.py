@@ -14,8 +14,8 @@ from repro import SimConfig, record_program
 from repro.core.errors import AnalysisError
 from repro.core.predictor import compile_trace
 from repro.core.simulator import Simulator
-from repro.jobs import JobEngine
-from repro.jobs.manifest import SweepManifest, run_manifest
+from repro.jobs import JobEngine, TraceRef
+from repro.jobs.manifest import SweepManifest, curve_cells, run_grid, run_manifest
 from repro.recorder import logfile
 from repro.sched import available_backends
 from repro.sched.stress_parity import run_stress
@@ -141,15 +141,20 @@ class TestManifestSchedulerAxis:
         assert "per scheduler:" not in report.format_table()
 
 
+def _speedup_at(engine, ref, cpus, scheduler):
+    """One cell's strict speed-up under *scheduler* through ``run_grid``."""
+    base = SimConfig().with_scheduler(scheduler)
+    return run_grid(engine, ref, curve_cells(base, [cpus])).speedups()[0]
+
+
 class TestEngineSchedulerMetrics:
-    def test_predict_speedups_accounts_per_backend(self, prodcons_plan):
+    def test_grid_speedups_accounts_per_backend(self, prodcons_plan):
         trace = record_program(make_prodcons_program()).trace
+        ref = TraceRef.from_trace(trace)
         engine = JobEngine(mode="inline")
         try:
             for sched in BACKENDS:
-                engine.predict_speedups(
-                    trace, [2], base_config=SimConfig().with_scheduler(sched)
-                )
+                _speedup_at(engine, ref, 2, sched)
             snap = engine.snapshot()
         finally:
             engine.close()
@@ -165,20 +170,15 @@ class TestEngineSchedulerMetrics:
         trace = record_program(
             get_workload("prodcons").make_program(4, 0.15)
         ).trace
+        ref = TraceRef.from_trace(trace)
         engine = JobEngine(mode="inline")
         try:
             makespans = {}
             for sched in BACKENDS:
-                preds = engine.predict_speedups(
-                    trace, [2], base_config=SimConfig().with_scheduler(sched)
-                )
-                makespans[sched] = preds[0].makespan_us
+                makespans[sched] = _speedup_at(engine, ref, 2, sched).makespan_us
             # re-asking must serve the backend's own cached cell
             for sched in BACKENDS:
-                preds = engine.predict_speedups(
-                    trace, [2], base_config=SimConfig().with_scheduler(sched)
-                )
-                assert preds[0].makespan_us == makespans[sched]
+                assert _speedup_at(engine, ref, 2, sched).makespan_us == makespans[sched]
         finally:
             engine.close()
         # distinct kernels genuinely predict differently on this trace
