@@ -32,8 +32,9 @@ engine only runs jobs; callers that pass none share the inline
 :func:`default_engine`.
 """
 
+import importlib
+
 from repro.jobs.cache import CACHE_FORMAT_VERSION, ResultCache, default_cache_dir
-from repro.jobs.client import ClientError, ServiceClient
 from repro.jobs.engine import JobEngine, default_engine
 from repro.jobs.fingerprint import (
     ANALYTIC_VERSION,
@@ -64,7 +65,23 @@ from repro.jobs.tiering import (
 )
 from repro.jobs.resilience import AdmissionGate, CircuitBreaker, backoff_delays
 from repro.jobs.service import PredictionService
-from repro.jobs.service_async import AsyncPredictionServer, serve_async
+
+#: the HTTP client and server, imported on first use: a batch run or a
+#: pool worker never pays for ``http.client`` and ``asyncio``
+_LAZY = {
+    "ClientError": "repro.jobs.client",
+    "ServiceClient": "repro.jobs.client",
+    "AsyncPredictionServer": "repro.jobs.service_async",
+    "serve_async": "repro.jobs.service_async",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "CACHE_FORMAT_VERSION",

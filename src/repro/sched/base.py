@@ -32,21 +32,27 @@ contract (see ``docs/schedulers.md`` for the full semantics):
 ``quantum_yield(lwp)``
     After expiry accounting: must the LWP surrender its CPU to a queued
     contender, or may it run another slice?
-``find_victim(lwp, allowed)``
-    No allowed CPU is idle: pick the CPU whose running LWP the
-    candidate preempts, or None to keep the candidate queued.
+``pick_victim(candidates)``
+    The dispatch pass's one victim search.  *candidates* is a prefix of
+    this pass's ``thread_select`` order in which every CPU each
+    candidate may run on (its ``bound_cpu``, else all) is busy.  Return
+    ``(lwp, cpu)`` for the first candidate that preempts the LWP running
+    on ``cpu``, or None to keep them all queued.
 
 Backends may additionally define ``on_dispatch(lwp)`` /
 ``on_deschedule(lwp)`` hooks (not present on the base class): the
 mechanism calls them when an LWP goes on / comes off a processor, which
 is where usage-driven policies (CFS vruntime, Clutch timeshare decay)
-account CPU time.  A third optional hook, ``on_contention(runnable)``,
-fires when a dispatch pass ends with runnable LWPs still queued (no
-idle CPU, no preemption): tickless backends use it to collapse an
-extended uncontended slice back to a real one via
-:meth:`Scheduler.retick` — the NO_HZ re-arm.  The Solaris backend
-defines none of the three, so the stock model pays no per-placement
-overhead for them.
+account CPU time.  ``on_enqueue(lwp)`` / ``on_dequeue(lwp)`` fire when
+an LWP joins / leaves the run queue (``enqueue_seq`` is already final),
+for a backend that keeps its own ordered queue or contender counts.
+``on_contention(runnable)`` fires when a dispatch pass ends with
+runnable LWPs still queued (no idle CPU, no preemption): tickless
+backends use it to re-arm the tick via :meth:`Scheduler.retick` — the
+NO_HZ re-arm — both collapsing a parked uncontended slice back to a
+real one and shortening a running slice when contention has grown since
+it was granted.  The Solaris backend defines none of these hooks, so
+the stock model pays nothing for them.
 
 Ticking every short CFS/Clutch quantum on an *uncontended* processor
 would flood the discrete-event queue with no-op expiries (charge,
@@ -65,7 +71,7 @@ addressed result cache keyed on ``(trace, config, backend name+version)``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solaris.lwp import SimLwp
@@ -130,9 +136,9 @@ class SchedulerBackend:
     def quantum_yield(self, lwp: "SimLwp") -> bool:
         raise NotImplementedError
 
-    def find_victim(
-        self, lwp: "SimLwp", allowed: "List[SimCpu]"
-    ) -> "Optional[SimCpu]":
+    def pick_victim(
+        self, candidates: "List[SimLwp]"
+    ) -> "Optional[Tuple[SimLwp, SimCpu]]":
         raise NotImplementedError
 
 

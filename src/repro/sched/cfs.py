@@ -43,12 +43,20 @@ schedules LWPs, so a pool LWP's vruntime follows the LWP, not the user
 thread it happens to carry.  All arithmetic is integer (vruntime in
 weighted µs, ``delta * 1024 // weight``); ties close by
 ``enqueue_seq``; replay stays deterministic.
+
+The queued fair LWPs are kept in ``(vruntime, enqueue_seq)`` order, a
+sorted list standing in for the kernel's rbtree, with counts of the
+contenders each CPU may take: selection, the ``min_vruntime`` floor,
+slice lengths and the victim search read those instead of sorting or
+scanning the run queue.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.ids import LwpId
 from repro.sched.base import (
     TICKLESS_SLICE_US,
     SchedulerBackend,
@@ -94,6 +102,11 @@ def _weight(lwp: "SimLwp") -> int:
     return WEIGHTS[nice + 20]
 
 
+#: the smallest wakeup granularity any weight gets, in vruntime: a fair
+#: candidate's preemption threshold is never below its vruntime plus this
+_MIN_GRAN_VR = WAKEUP_GRANULARITY_US * NICE_0_WEIGHT // max(WEIGHTS)
+
+
 @register_backend
 class CfsBackend(SchedulerBackend):
     """vruntime ordering, min-granularity slicing, wake-preemption."""
@@ -104,39 +117,50 @@ class CfsBackend(SchedulerBackend):
     def bind(self, sched) -> None:
         super().bind(sched)
         #: vruntime per LWP id (weighted µs)
-        self._vruntime: Dict[int, int] = {}
+        self._vruntime: Dict[LwpId, int] = {}
         #: dispatch/charge timestamp per ONPROC LWP id
-        self._since_us: Dict[int, int] = {}
+        self._since_us: Dict[LwpId, int] = {}
+        #: load weight per LWP id, worked out when it is first queued
+        self._weight: Dict[LwpId, int] = {}
         #: monotonic floor of the queue's vruntime (wake placement)
         self._min_vruntime = 0
+        #: the queued fair LWPs in (vruntime, enqueue_seq) order, and
+        #: their keys.  A queued LWP's vruntime never changes: it is
+        #: placed before it is queued and charged only while ONPROC.
+        self._keys: List[Tuple[int, int]] = []
+        self._queue: "List[SimLwp]" = []
+        #: queued RT LWPs (they order ahead of every fair LWP)
+        self._rt_queued = 0
+        #: queued fair contenders that may run on any CPU / per pinned CPU
+        self._free = 0
+        self._pinned = [0] * sched.config.cpus
 
     # -- vruntime accounting -------------------------------------------
 
     def _vr(self, lwp: "SimLwp") -> int:
         """Committed vruntime, initialised at min_vruntime on first use
         (a new LWP earns no credit for not having existed)."""
-        lid = int(lwp.lwp_id)
-        vr = self._vruntime.get(lid)
+        vr = self._vruntime.get(lwp.lwp_id)
         if vr is None:
-            vr = self._min_vruntime
-            self._vruntime[lid] = vr
+            vr = self._vruntime[lwp.lwp_id] = self._min_vruntime
         return vr
 
     def _vr_now(self, lwp: "SimLwp", now: int) -> int:
-        """Committed vruntime plus the uncharged ONPROC stretch."""
-        vr = self._vr(lwp)
-        since = self._since_us.get(int(lwp.lwp_id))
+        """Committed vruntime plus the uncharged ONPROC stretch of a
+        fair LWP (every LWP that runs was queued first)."""
+        lid = lwp.lwp_id
+        vr = self._vruntime[lid]
+        since = self._since_us.get(lid)
         if since is not None and now > since:
-            vr += (now - since) * NICE_0_WEIGHT // _weight(lwp)
+            vr += (now - since) * NICE_0_WEIGHT // self._weight[lid]
         return vr
 
     def _charge(self, lwp: "SimLwp") -> None:
-        lid = int(lwp.lwp_id)
+        lid = lwp.lwp_id
         now = self.sched.engine.now_us
         since = self._since_us.pop(lid, None)
         if since is not None and not lwp.rt:
-            delta_vr = (now - since) * NICE_0_WEIGHT // _weight(lwp)
-            vr = self._vr(lwp) + delta_vr
+            vr = self._vruntime[lid] + (now - since) * NICE_0_WEIGHT // self._weight[lid]
             self._vruntime[lid] = vr
             if vr > self._min_vruntime:
                 # monotonic advance; lazily tightened in thread_setrun
@@ -145,13 +169,11 @@ class CfsBackend(SchedulerBackend):
     def _advance_min_vruntime(self, now: int) -> None:
         """min_vruntime tracks the smallest vruntime still in play
         (queued or running), and never moves backwards."""
-        floor: Optional[int] = None
-        for other in self.sched._runnable.values():
-            if other.rt:
-                continue
-            vr = self._vr(other)
-            if floor is None or vr < floor:
-                floor = vr
+        floor = None
+        if self._keys:
+            floor = self._keys[0][0]
+            if floor <= self._min_vruntime:
+                return  # the queue's head already holds the floor down
         for cpu in self.sched.cpus:
             running = cpu.lwp
             if running is not None and not running.rt:
@@ -162,7 +184,7 @@ class CfsBackend(SchedulerBackend):
             self._min_vruntime = floor
 
     def on_dispatch(self, lwp: "SimLwp") -> None:
-        self._since_us[int(lwp.lwp_id)] = self.sched.engine.now_us
+        self._since_us[lwp.lwp_id] = self.sched.engine.now_us
         # CFS grants a fresh slice per pick; a preempted LWP does not
         # resume a banked remainder (its claim lives in vruntime)
         lwp.quantum_remaining_us = 0
@@ -170,31 +192,56 @@ class CfsBackend(SchedulerBackend):
     def on_deschedule(self, lwp: "SimLwp") -> None:
         self._charge(lwp)
 
+    # -- the run queue -------------------------------------------------
+
+    def on_enqueue(self, lwp: "SimLwp") -> None:
+        if lwp.rt:
+            self._rt_queued += 1
+            return
+        if lwp.lwp_id not in self._weight:
+            self._weight[lwp.lwp_id] = _weight(lwp)
+        key = (self._vr(lwp), lwp.enqueue_seq)
+        i = bisect_left(self._keys, key)
+        self._keys.insert(i, key)
+        self._queue.insert(i, lwp)
+        if lwp.bound_cpu is None:
+            self._free += 1
+        else:
+            self._pinned[lwp.bound_cpu] += 1
+
+    def on_dequeue(self, lwp: "SimLwp") -> None:
+        if lwp.rt:
+            self._rt_queued -= 1
+            return
+        i = bisect_left(self._keys, (self._vruntime[lwp.lwp_id], lwp.enqueue_seq))
+        assert self._queue[i] is lwp
+        del self._keys[i]
+        del self._queue[i]
+        if lwp.bound_cpu is None:
+            self._free -= 1
+        else:
+            self._pinned[lwp.bound_cpu] -= 1
+
     # -- the SchedulerBackend hooks ------------------------------------
 
     def thread_setrun(self, lwp: "SimLwp", boost: bool) -> None:
         if lwp.rt:
             return
-        now = self.sched.engine.now_us
-        self._advance_min_vruntime(now)
-        lid = int(lwp.lwp_id)
+        self._advance_min_vruntime(self.sched.engine.now_us)
         vr = self._vr(lwp)
         if boost:
             # sleeper fairness: bounded wake-up credit
             placed = self._min_vruntime - SCHED_LATENCY_US // 2
             if placed > vr:
-                self._vruntime[lid] = placed
+                self._vruntime[lwp.lwp_id] = placed
 
     def thread_select(self, runnable: "List[SimLwp]") -> "List[SimLwp]":
-        if len(runnable) > 1:
-            runnable.sort(
-                key=lambda l: (
-                    (0, -l.kernel_priority, l.enqueue_seq)
-                    if l.rt
-                    else (1, self._vr(l), l.enqueue_seq)
-                )
-            )
-        return runnable
+        # RT by fixed priority, then the fair queue's kept order
+        if not self._rt_queued:
+            return self._queue[:]
+        rt = [lwp for lwp in runnable if lwp.rt]
+        rt.sort(key=lambda l: (-l.kernel_priority, l.enqueue_seq))
+        return rt + self._queue
 
     def quantum_for(self, lwp: "SimLwp") -> int:
         if lwp.rt:
@@ -203,11 +250,9 @@ class CfsBackend(SchedulerBackend):
         # effective queue is the LWP itself plus every queued fair
         # contender that may run here — NOT the other CPUs' running
         # LWPs, which occupy their own runqueues
-        cpu = lwp.cpu
-        nr = 1
-        for o in self.sched._runnable.values():
-            if not o.rt and (o.bound_cpu is None or o.bound_cpu == cpu):
-                nr += 1
+        nr = 1 + self._free
+        if lwp.cpu is not None:
+            nr += self._pinned[lwp.cpu]
         if nr == 1:
             # nothing to share the latency window with: park the tick
             # (NO_HZ); on_contention re-arms it when a contender queues
@@ -220,7 +265,7 @@ class CfsBackend(SchedulerBackend):
         # stale-timer guard), so restart the charge clock — a follow-up
         # preemption then charges a zero-length stretch harmlessly
         self._charge(lwp)
-        self._since_us[int(lwp.lwp_id)] = self.sched.engine.now_us
+        self._since_us[lwp.lwp_id] = self.sched.engine.now_us
 
     def quantum_yield(self, lwp: "SimLwp") -> bool:
         """check_preempt_tick: exhausting the slice reschedules when
@@ -232,10 +277,12 @@ class CfsBackend(SchedulerBackend):
 
     def on_contention(self, runnable: "List[SimLwp]") -> None:
         """A queued contender found no idle CPU and failed
-        wake-preemption: collapse any parked tickless slice back to the
-        real one, measured from the dispatch stamp, so the contender
-        waits at most a slice (Linux re-arms the tick the moment a
-        second task lands on a NO_HZ core)."""
+        wake-preemption: re-arm each running fair LWP's tick at the
+        slice its CPU's contenders now grant, measured from the dispatch
+        stamp.  That collapses a parked tickless slice (Linux re-arms
+        the tick the moment a second task lands on a NO_HZ core) and
+        shortens a slice granted before contention grew, so the
+        contender waits at most one slice."""
         now = self.sched.engine.now_us
         retick = self.sched.retick
         for cpu in self.sched.cpus:
@@ -245,38 +292,61 @@ class CfsBackend(SchedulerBackend):
             slice_us = self.quantum_for(running)
             if slice_us >= TICKLESS_SLICE_US:
                 continue  # no contender may run here
-            ran = now - self._since_us.get(int(running.lwp_id), now)
+            ran = now - self._since_us.get(running.lwp_id, now)
             retick(running, max(MIN_GRANULARITY_US, slice_us - ran))
 
-    def find_victim(
-        self, lwp: "SimLwp", allowed: "List[SimCpu]"
-    ) -> "Optional[SimCpu]":
-        now = self.sched.engine.now_us
-        if lwp.rt:
-            # the RT class preempts any fair LWP, or a lower RT priority
-            victim_cpu: "Optional[SimCpu]" = None
-            best = (1, lwp.kernel_priority)  # (class, priority): fair < RT
-            for cpu in allowed:
-                running = cpu.lwp
-                assert running is not None
-                key = (1, running.kernel_priority) if running.rt else (0, 0)
-                if key < best:
-                    best = key
-                    victim_cpu = cpu
-            return victim_cpu
-        # fair wake-preemption: displace the largest-vruntime fair LWP,
-        # with the wakeup-granularity hysteresis; never preempt RT
-        gran_vr = WAKEUP_GRANULARITY_US * NICE_0_WEIGHT // _weight(lwp)
-        threshold = self._vr(lwp) + gran_vr
-        victim_cpu = None
-        worst = threshold
-        for cpu in allowed:
-            running = cpu.lwp
-            assert running is not None
-            if running.rt:
+    def pick_victim(
+        self, candidates: "List[SimLwp]"
+    ) -> "Optional[Tuple[SimLwp, SimCpu]]":
+        cpus = self.sched.cpus
+        fair_vr: "Optional[List[Optional[int]]]" = None
+        worst = None
+        for lwp in candidates:
+            pin = lwp.bound_cpu
+            if lwp.rt:
+                # the RT class preempts any fair LWP, or a lower RT
+                # priority (first-lowest in CPU order)
+                victim_cpu: "Optional[SimCpu]" = None
+                best = (1, lwp.kernel_priority)  # (class, priority): fair < RT
+                for cpu in cpus if pin is None else (cpus[pin],):
+                    running = cpu.lwp
+                    assert running is not None
+                    key = (1, running.kernel_priority) if running.rt else (0, 0)
+                    if key < best:
+                        best = key
+                        victim_cpu = cpu
+                if victim_cpu is not None:
+                    return lwp, victim_cpu
                 continue
-            vr = self._vr_now(running, now)
-            if vr > worst:
-                worst = vr
-                victim_cpu = cpu
-        return victim_cpu
+            # fair wake-preemption: displace the largest-vruntime fair
+            # LWP (first in CPU order), with the wakeup-granularity
+            # hysteresis; never preempt RT
+            if fair_vr is None:
+                now = self.sched.engine.now_us
+                fair_vr = []
+                for cpu in cpus:
+                    running = cpu.lwp
+                    if running is None or running.rt:
+                        fair_vr.append(None)
+                        continue
+                    vr = self._vr_now(running, now)
+                    if worst is None or vr > fair_vr[worst]:  # type: ignore[operator]
+                        worst = cpu.index
+                    fair_vr.append(vr)
+            if worst is None:
+                return None  # only RT runs, and no RT candidate is left
+            vr = self._vr(lwp)
+            top: int = fair_vr[worst]  # type: ignore[assignment]
+            if top <= vr + _MIN_GRAN_VR:
+                # fair candidates come in vruntime order, so no later
+                # one's threshold is below this bound either
+                return None
+            threshold = vr + WAKEUP_GRANULARITY_US * NICE_0_WEIGHT // self._weight[lwp.lwp_id]
+            if pin is None:
+                if top > threshold:
+                    return lwp, cpus[worst]
+            else:
+                running_vr = fair_vr[pin]
+                if running_vr is not None and running_vr > threshold:
+                    return lwp, cpus[pin]
+        return None

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.ids import LwpId
 from repro.sched.base import (
     TICKLESS_SLICE_US,
     SchedulerBackend,
@@ -99,14 +100,28 @@ class ClutchBackend(SchedulerBackend):
         #: remaining warp budget per share bucket
         self._warp: Dict[int, int] = dict(WARP_US)
         #: CPU consumed per LWP id (drives timeshare decay)
-        self._used_us: Dict[int, int] = {}
+        self._used_us: Dict[LwpId, int] = {}
         #: dispatch timestamp per LWP id (charge basis)
-        self._since_us: Dict[int, int] = {}
+        self._since_us: Dict[LwpId, int] = {}
+        #: root bucket per LWP id, set when the LWP is queued (every LWP
+        #: the mechanism asks about, queued or running, has been queued)
+        self._bucket: Dict[LwpId, int] = {}
+        #: queued LWPs per root bucket
+        self._queued = [0] * (BG + 1)
+
+    # -- the run queue -------------------------------------------------
+
+    def on_enqueue(self, lwp: "SimLwp") -> None:
+        bucket = self._bucket[lwp.lwp_id] = _bucket_for(lwp)
+        self._queued[bucket] += 1
+
+    def on_dequeue(self, lwp: "SimLwp") -> None:
+        self._queued[self._bucket[lwp.lwp_id]] -= 1
 
     # -- CPU-usage accounting ------------------------------------------
 
     def on_dispatch(self, lwp: "SimLwp") -> None:
-        self._since_us[int(lwp.lwp_id)] = self.sched.engine.now_us
+        self._since_us[lwp.lwp_id] = self.sched.engine.now_us
         # a fresh quantum per selection (a preempted LWP's standing is
         # its bucket deadline, not a banked remainder) — also keeps a
         # parked tickless slice from surviving a later contended pick
@@ -116,7 +131,7 @@ class ClutchBackend(SchedulerBackend):
         self._charge(lwp)
 
     def _charge(self, lwp: "SimLwp") -> None:
-        lid = int(lwp.lwp_id)
+        lid = lwp.lwp_id
         now = self.sched.engine.now_us
         since = self._since_us.get(lid)
         if since is not None:
@@ -125,9 +140,7 @@ class ClutchBackend(SchedulerBackend):
 
     def _intra_priority(self, lwp: "SimLwp") -> int:
         """Decayed in-bucket priority: base level minus consumed CPU."""
-        return lwp.kernel_priority - (
-            self._used_us.get(int(lwp.lwp_id), 0) >> DECAY_SHIFT
-        )
+        return lwp.kernel_priority - (self._used_us.get(lwp.lwp_id, 0) >> DECAY_SHIFT)
 
     def _bucket_key(self, bucket: int, now: int) -> Tuple[int, int]:
         """Deadline-ordering key of *bucket* (lower runs first).
@@ -144,28 +157,32 @@ class ClutchBackend(SchedulerBackend):
     # -- the SchedulerBackend hooks ------------------------------------
 
     def thread_setrun(self, lwp: "SimLwp", boost: bool) -> None:
-        # bucket membership is recomputed on demand; a fresh wake needs
-        # no per-LWP placement state (deadlines refresh in sched_tick)
+        # a fresh wake needs no per-LWP placement state (deadlines
+        # refresh in sched_tick)
         pass
 
     def sched_tick(self, runnable: "List[SimLwp]", now: int) -> None:
-        """Refresh bucket deadlines against the current runnable set."""
-        present = {_bucket_for(lwp) for lwp in runnable}
-        for b in list(self._deadline):
-            if b not in present:
-                del self._deadline[b]  # bucket drained: deadline resets
-        for b in present:
-            if b != FIXPRI and b not in self._deadline:
-                self._deadline[b] = now + WCEL_US[b]
+        """Refresh bucket deadlines against the current runnable set
+        (kept as per-bucket counts by the run-queue hooks)."""
+        queued = self._queued
+        deadline = self._deadline
+        for b in list(deadline):
+            if not queued[b]:
+                del deadline[b]  # bucket drained: deadline resets
+        for b in _SHARE_BUCKETS:
+            if queued[b] and b not in deadline:
+                deadline[b] = now + WCEL_US[b]
 
     def thread_select(self, runnable: "List[SimLwp]") -> "List[SimLwp]":
         if len(runnable) <= 1:
             return runnable
         rank = self._select_ranks()
+        bucket = self._bucket
+        intra = self._intra_priority
         runnable.sort(
             key=lambda l: (
-                rank[_bucket_for(l)],
-                -(l.kernel_priority if l.rt else self._intra_priority(l)),
+                rank[bucket[l.lwp_id]],
+                -(l.kernel_priority if l.rt else intra(l)),
                 l.enqueue_seq,
             )
         )
@@ -207,7 +224,7 @@ class ClutchBackend(SchedulerBackend):
         cpu = lwp.cpu
         for other in self.sched._runnable.values():
             if other.bound_cpu is None or other.bound_cpu == cpu:
-                return QUANTUM_US[_bucket_for(lwp)]
+                return QUANTUM_US[self._bucket[lwp.lwp_id]]
         # uncontended: park the tick (XNU coalesces idle-machine timers
         # the same way); on_contention re-arms when a contender queues
         return TICKLESS_SLICE_US
@@ -224,66 +241,88 @@ class ClutchBackend(SchedulerBackend):
         runnable = self.sched._runnable
         if not runnable:
             return False
-        now = self.sched.engine.now_us
+        cpu = lwp.cpu
         if lwp.rt:
             for other in runnable.values():
                 if (
                     other.rt
                     and other.kernel_priority >= lwp.kernel_priority
-                    and (other.bound_cpu is None or other.bound_cpu == lwp.cpu)
+                    and (other.bound_cpu is None or other.bound_cpu == cpu)
                 ):
                     return True
             return False
-        mine = self._bucket_key(_bucket_for(lwp), now)
+        now = self.sched.engine.now_us
+        bucket_key = self._bucket_key
+        bucket = self._bucket
+        mine = bucket_key(bucket[lwp.lwp_id], now)
         for other in runnable.values():
-            if self._bucket_key(_bucket_for(other), now) <= mine and (
-                other.bound_cpu is None or other.bound_cpu == lwp.cpu
+            if (other.bound_cpu is None or other.bound_cpu == cpu) and (
+                bucket_key(bucket[other.lwp_id], now) <= mine
             ):
                 return True
         return False
 
     def on_contention(self, runnable: "List[SimLwp]") -> None:
-        """A queued LWP found no idle CPU and no victim: collapse any
-        parked tickless slice on the running LWPs back to the bucket
-        quantum (measured from dispatch), so round-robin resumes."""
+        """A queued LWP found no idle CPU and no victim: re-arm each
+        running LWP's tick at its bucket quantum, measured from
+        dispatch, wherever a queued LWP may run.  That collapses a
+        parked tickless slice and shortens one granted before the
+        contender arrived, so round-robin resumes."""
+        anywhere = False
+        pinned = set()
+        for other in runnable:
+            if other.bound_cpu is None:
+                anywhere = True
+                break
+            pinned.add(other.bound_cpu)
         now = self.sched.engine.now_us
         retick = self.sched.retick
         for cpu in self.sched.cpus:
             running = cpu.lwp
             if running is None or running.rt:
                 continue
-            quantum = self.quantum_for(running)
-            if quantum >= TICKLESS_SLICE_US:
+            if not anywhere and cpu.index not in pinned:
                 continue  # no contender may run here
-            ran = now - self._since_us.get(int(running.lwp_id), now)
+            quantum = QUANTUM_US[self._bucket[running.lwp_id]]
+            ran = now - self._since_us.get(running.lwp_id, now)
             retick(running, max(1_000, quantum - ran))
 
-    def find_victim(
-        self, lwp: "SimLwp", allowed: "List[SimCpu]"
-    ) -> "Optional[SimCpu]":
+    def pick_victim(
+        self, candidates: "List[SimLwp]"
+    ) -> "Optional[Tuple[SimLwp, SimCpu]]":
         """Preempt the running LWP whose bucket deadline is latest and
         strictly later than the candidate's (no same-deadline
         preemption); FIXPRI additionally displaces lower RT priority."""
+        cpus = self.sched.cpus
         now = self.sched.engine.now_us
-        mine = self._bucket_key(_bucket_for(lwp), now)
-        victim_cpu: "Optional[SimCpu]" = None
-        worst = mine
-        for cpu in allowed:
+        bucket_key = self._bucket_key
+        bucket = self._bucket
+        # the running LWPs' bucket keys, and the latest (first in CPU
+        # order), once per pass
+        keys: "List[Optional[Tuple[int, int]]]" = []
+        latest = 0
+        for cpu in cpus:
             running = cpu.lwp
-            assert running is not None
-            key = self._bucket_key(_bucket_for(running), now)
-            if key > worst:
-                worst = key
-                victim_cpu = cpu
-        if victim_cpu is not None:
-            return victim_cpu
-        if lwp.rt:
-            # FIXPRI round 2: displace a strictly lower RT priority
-            victim_pri = lwp.kernel_priority
-            for cpu in allowed:
-                running = cpu.lwp
-                assert running is not None
-                if running.rt and running.kernel_priority < victim_pri:
-                    victim_pri = running.kernel_priority
-                    victim_cpu = cpu
-        return victim_cpu
+            key = None if running is None else bucket_key(bucket[running.lwp_id], now)
+            keys.append(key)
+            if key is not None and (keys[latest] is None or key > keys[latest]):  # type: ignore[operator]
+                latest = cpu.index
+        for lwp in candidates:
+            mine = bucket_key(bucket[lwp.lwp_id], now)
+            pin = lwp.bound_cpu
+            victim = latest if pin is None else pin
+            if keys[victim] > mine:  # type: ignore[operator]
+                return lwp, cpus[victim]
+            if lwp.rt:
+                # FIXPRI round 2: displace a strictly lower RT priority
+                victim_cpu: "Optional[SimCpu]" = None
+                victim_pri = lwp.kernel_priority
+                for cpu in cpus if pin is None else (cpus[pin],):
+                    running = cpu.lwp
+                    assert running is not None
+                    if running.rt and running.kernel_priority < victim_pri:
+                        victim_pri = running.kernel_priority
+                        victim_cpu = cpu
+                if victim_cpu is not None:
+                    return lwp, victim_cpu
+        return None

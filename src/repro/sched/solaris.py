@@ -14,14 +14,15 @@ differential parity suite (``tests/test_replay_fastpath.py``,
   expiry, *slpret* lift on sleep return, *maxwait/lwait* starvation
   lifts applied during dispatch; RT priorities never move;
 * preemption displaces the lowest-priority running LWP strictly below
-  the candidate (first-lowest in CPU order);
+  the candidate (first-lowest in CPU order), searched once per
+  dispatch pass;
 * on expiry the LWP yields only to an equal-or-higher priority queued
   contender that may run on its CPU, else it runs another slice.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.sched.base import SchedulerBackend, register_backend
 
@@ -91,17 +92,32 @@ class SolarisBackend(SchedulerBackend):
                 return True
         return False
 
-    def find_victim(
-        self, lwp: "SimLwp", allowed: "List[SimCpu]"
-    ) -> "Optional[SimCpu]":
+    def pick_victim(
+        self, candidates: "List[SimLwp]"
+    ) -> "Optional[Tuple[SimLwp, SimCpu]]":
         # displace the lowest-priority running LWP that is strictly
-        # below us (RT outranks every TS LWP)
-        victim_cpu: "Optional[SimCpu]" = None
-        victim_pri = _effective_priority(lwp)
-        for cpu in allowed:
-            running = cpu.lwp
-            assert running is not None
-            if _effective_priority(running) < victim_pri:
-                victim_pri = _effective_priority(running)
-                victim_cpu = cpu
-        return victim_cpu
+        # below the candidate (RT outranks every TS LWP), first-lowest
+        # in CPU order
+        cpus = self.sched.cpus
+        lowest: "Optional[SimCpu]" = None
+        low_pri = 0
+        for lwp in candidates:
+            my_pri = _effective_priority(lwp)
+            if lwp.bound_cpu is not None:
+                cpu = cpus[lwp.bound_cpu]
+                if _effective_priority(cpu.lwp) < my_pri:  # type: ignore[arg-type]
+                    return lwp, cpu
+                continue
+            if lowest is None:
+                # an unbound candidate is searched only when every CPU
+                # is busy
+                for cpu in cpus:
+                    pri = _effective_priority(cpu.lwp)  # type: ignore[arg-type]
+                    if lowest is None or pri < low_pri:
+                        lowest, low_pri = cpu, pri
+            if low_pri < my_pri:
+                return lwp, lowest  # type: ignore[return-value]
+            # candidates come in falling priority, and a pinned one may
+            # displace only a subset of these LWPs: nobody later wins
+            return None
+        return None

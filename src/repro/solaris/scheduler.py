@@ -120,12 +120,14 @@ class Scheduler:
         self._quantum_for = backend.quantum_for
         self._quantum_expire_policy = backend.quantum_expire
         self._quantum_yield = backend.quantum_yield
-        self._find_victim = backend.find_victim
-        # optional usage-accounting hooks; None (the Solaris case) keeps
-        # the stock placement path free of extra calls
+        self._pick_victim = backend.pick_victim
+        # optional usage-accounting and run-queue hooks; None (the
+        # Solaris case) keeps the stock paths free of extra calls
         self._on_dispatch = getattr(backend, "on_dispatch", None)
         self._on_deschedule = getattr(backend, "on_deschedule", None)
         self._on_contention = getattr(backend, "on_contention", None)
+        self._on_enqueue = getattr(backend, "on_enqueue", None)
+        self._on_dequeue = getattr(backend, "on_dequeue", None)
 
         self.cpus: List[SimCpu] = [SimCpu(i) for i in range(config.cpus)]
         self.lwps: List[SimLwp] = []
@@ -182,15 +184,20 @@ class Scheduler:
         return lwp
 
     def _set_lwp_state(self, lwp: SimLwp, state: LwpState) -> None:
-        """Single point for LWP state flips, keeping the runnable map."""
+        """Single point for LWP state flips, keeping the runnable map
+        and telling a backend that keeps its own run queue."""
         old = lwp.state
         if old is not state:
+            lwp.state = state
             runnable = LwpState.RUNNABLE
             if old is runnable:
                 del self._runnable[lwp.lwp_id]
+                if self._on_dequeue is not None:
+                    self._on_dequeue(lwp)
             elif state is runnable:
                 self._runnable[lwp.lwp_id] = lwp
-            lwp.state = state
+                if self._on_enqueue is not None:
+                    self._on_enqueue(lwp)
 
     def _set_thread_state(
         self, thread: SimThread, state: ThreadState, cpu: Optional[int] = None
@@ -349,8 +356,9 @@ class Scheduler:
         self._lwp_runnable(lwp)
 
     def _lwp_runnable(self, lwp: SimLwp) -> None:
-        self._set_lwp_state(lwp, LwpState.RUNNABLE)
+        # the sequence number first: on_enqueue sees the final queue key
         lwp.enqueue_seq = next(self._seq)
+        self._set_lwp_state(lwp, LwpState.RUNNABLE)
         lwp.runnable_since_us = self.engine.now_us
 
     # ------------------------------------------------------------------
@@ -360,10 +368,17 @@ class Scheduler:
     def _kernel_dispatch(self) -> None:
         """Match runnable LWPs to processors, preempting where the
         backend's policy demands it.  Loops until no further placement
-        is possible."""
+        is possible.
+
+        Each pass places at most one LWP: the first candidate, in the
+        backend's order, that has an idle CPU it may run on or a victim
+        it may preempt.  Every ``sched_tick``/``thread_select`` call is
+        part of the answer (both may change backend state), so the
+        passes themselves must not be skipped or merged."""
         if self._atomic_depth > 0:
             self._dispatch_wanted = True
             return
+        cpus = self.cpus
         while True:
             rmap = self._runnable
             if not rmap:
@@ -371,35 +386,34 @@ class Scheduler:
             runnable = list(rmap.values())
             self._sched_tick(runnable, self.engine.now_us)
             runnable = self._select(runnable)
-            placed = False
-            for lwp in runnable:
-                cpu = self._find_cpu_for(lwp)
-                if cpu is not None:
-                    self._place(lwp, cpu)
-                    placed = True
+            # one idle scan per pass: candidates ahead of the first one
+            # with an idle CPU it may run on can place only by
+            # preemption, and the backend searches them once
+            stop = len(runnable)
+            target = None
+            for idle in cpus:
+                if idle.lwp is None:
+                    for i, lwp in enumerate(runnable):
+                        cpu = idle if lwp.bound_cpu is None else cpus[lwp.bound_cpu]
+                        if cpu.lwp is None:
+                            stop, target = i, cpu
+                            break
                     break
-            if not placed:
+            if stop:
+                hit = self._pick_victim(runnable[:stop])
+                if hit is not None:
+                    lwp, cpu = hit
+                    self._preempt(cpu.lwp)  # type: ignore[arg-type]
+                    self._place(lwp, cpu)
+                    continue
+            if target is None:
                 if self._on_contention is not None:
                     # queued LWPs could not place: tickless backends
                     # re-tick running LWPs so a parked quantum timer
                     # cannot starve the queue (the NO_HZ re-arm)
                     self._on_contention(runnable)
                 return
-
-    def _find_cpu_for(self, lwp: SimLwp) -> Optional[SimCpu]:
-        allowed = (
-            [self.cpus[lwp.bound_cpu]] if lwp.bound_cpu is not None else self.cpus
-        )
-        for cpu in allowed:
-            if cpu.idle:
-                return cpu
-        # no idle processor: the backend picks whose running LWP (if
-        # any) this candidate displaces
-        victim_cpu = self._find_victim(lwp, allowed)
-        if victim_cpu is not None:
-            self._preempt(victim_cpu.lwp)  # type: ignore[arg-type]
-            return victim_cpu
-        return None
+            self._place(runnable[stop], target)
 
     def _place(self, lwp: SimLwp, cpu: SimCpu) -> None:
         if not cpu.idle:
@@ -518,7 +532,8 @@ class Scheduler:
         *remaining_us* from now (never pushes it later).  No-op when no
         timer is armed (``time_slicing=False``) or the timer already
         fires sooner.  Backends call this from ``on_contention`` to end
-        a tickless stretch."""
+        a tickless stretch or to shorten a slice granted before
+        contention grew."""
         entry = self._quantum_events.get(int(lwp.lwp_id))
         if entry is None:
             return
@@ -562,9 +577,17 @@ class Scheduler:
 
     def _arm_burst(self, thread: SimThread, duration_us: int) -> None:
         end = self.engine.now_us + duration_us
-        handle = self.engine.schedule_at(
-            end, lambda: self._burst_done(thread), f"burst T{int(thread.tid)}"
-        )
+        action = thread.burst_action
+        if action is None:
+            handle = self.engine.schedule_at(
+                end, lambda: self._burst_done(thread), f"burst T{int(thread.tid)}"
+            )
+        else:
+            # a burst resumed on the replay fast path (preemption
+            # cancelled its event): reuse the fused completion closure
+            # and the constant label, as begin_burst_fast does
+            handle = self.engine.queue.push(end, action, "burst")
+            thread.burst_event = handle
         self._burst_events[int(thread.tid)] = (handle, end)
 
     def _burst_done(self, thread: SimThread) -> None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import http.client
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -55,6 +57,37 @@ def _curve(engine, trace, cpus, ref=None, **kw):
     """One speed-up curve through ``run_grid``, read strictly."""
     ref = ref or TraceRef.from_trace(trace)
     return run_grid(engine, ref, curve_cells(SimConfig(), cpus), **kw).speedups()
+
+
+# ---------------------------------------------------------------------------
+# the package's imports
+# ---------------------------------------------------------------------------
+
+
+class TestImports:
+    def test_manifest_import_leaves_the_http_stack_out(self):
+        """Batch runs and pool workers import the job layer, not the
+        HTTP client or the asyncio server."""
+        code = (
+            "import sys, repro.jobs.manifest; "
+            "print(sorted(m for m in ('asyncio', 'http.client') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_http_exports_resolve_on_first_use(self):
+        import repro.jobs as jobs
+        from repro.jobs.client import ServiceClient
+        from repro.jobs.service_async import serve_async
+
+        assert jobs.ServiceClient is ServiceClient
+        assert jobs.serve_async is serve_async
+        assert {"ClientError", "ServiceClient", "AsyncPredictionServer",
+                "serve_async"} <= set(jobs.__all__)
+        with pytest.raises(AttributeError):
+            jobs.no_such_export
 
 
 # ---------------------------------------------------------------------------

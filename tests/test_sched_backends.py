@@ -287,3 +287,76 @@ class TestFingerprints:
         }
         assert len(sim_fps) == len(BACKENDS)
         assert len(lint_fps) == len(BACKENDS)
+
+
+# ---------------------------------------------------------------------------
+# the pass-level victim search
+# ---------------------------------------------------------------------------
+
+
+def _mid_pass(scheduler: str, seed: int):
+    """A scheduler stopped at the top of a dispatch pass, on random
+    hand-built LWPs (mixed priorities, RT, pinning, sleepers), with the
+    pass's candidates that can place only by preemption."""
+    import random
+
+    from repro.solaris.lwp import LwpState
+    from tests.test_backend_decisions import Rig
+
+    rng = random.Random(seed)
+    cpus = rng.randint(1, 4)
+    rig = Rig(scheduler, cpus)
+
+    def add(k):
+        pin = rng.randrange(cpus) if rng.random() < 0.3 else None
+        rig.add(f"L{k}", priority=rng.randint(0, 59), rt=rng.random() < 0.15, cpu=pin)
+
+    now = 0
+    for k in range(rng.randint(1, cpus + 4)):
+        add(k)
+        now += rng.choice((0, 0, 700, 2_500, 9_000))
+        rig.run_until(now)
+        busy = [cpu for cpu in rig.sched.cpus if cpu.lwp is not None]
+        if busy and rng.random() < 0.2:
+            rig.block_on(rng.choice(busy).index)
+    sched = rig.sched
+    sched.begin_atomic()  # the arrivals below wait for one pass
+    for k in range(100, 100 + rng.randint(1, 3)):
+        add(k)
+    for name, thread in rig.threads.items():
+        if thread.lwp.state is LwpState.SLEEPING and rng.random() < 0.5:
+            rig.wake(name)
+    runnable = list(sched._runnable.values())
+    sched._sched_tick(runnable, sched.engine.now_us)
+    order = sched._select(runnable)
+    idle = [cpu for cpu in sched.cpus if cpu.lwp is None]
+    stop = len(order)
+    for i, lwp in enumerate(order):
+        if (lwp.bound_cpu is None and idle) or (
+            lwp.bound_cpu is not None and sched.cpus[lwp.bound_cpu].lwp is None
+        ):
+            stop = i
+            break
+    return sched.backend, order[:stop]
+
+
+class TestVictimSearch:
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_one_search_equals_a_search_per_candidate(self, scheduler):
+        """Searching a pass's candidates at once (with early stops)
+        picks what searching them one at a time, in order, picks."""
+        searched = won = 0
+        for seed in range(300):
+            backend, candidates = _mid_pass(scheduler, seed)
+            if not candidates:
+                continue
+            one_by_one = next(
+                (hit for lwp in candidates
+                 if (hit := backend.pick_victim([lwp])) is not None),
+                None,
+            )
+            assert backend.pick_victim(candidates) == one_by_one, seed
+            searched += 1
+            won += one_by_one is not None
+        # the random states reach both outcomes
+        assert searched > 100 and 0 < won < searched
