@@ -63,30 +63,39 @@ def _policy_cells(tids: List[int]) -> List[Tuple[str, SimConfig]]:
     ]
 
 
+def record(name: str):
+    """The digest's recording of workload *name*."""
+    program = get_workload(name).make_program(THREADS, SCALE, seed=SEED)
+    return record_program(program).trace
+
+
+def workload_cells(name: str, trace) -> List[Tuple[str, SimConfig]]:
+    """Workload *name*'s ``(label, config)`` cells, in a fixed order."""
+    tids = sorted(int(t) for t in trace.thread_ids())
+    bound = {t: ThreadPolicy(bound=True) for t in tids}
+    configs = [
+        (f"{cpus}cpu/{binding}", SimConfig(
+            cpus=cpus, thread_policies=bound if binding == "bound" else {}
+        ))
+        for cpus in CPUS
+        for binding in ("unbound", "bound")
+    ]
+    if name == POLICY_WORKLOAD:
+        configs += _policy_cells(tids)
+    return [
+        (f"{name}/{label}/{scheduler}", config.with_scheduler(scheduler))
+        for scheduler in available_backends()
+        for label, config in configs
+    ]
+
+
 def cells() -> List[Tuple[str, object, SimConfig]]:
     """Every ``(label, plan, config)`` of the grid, in a fixed order."""
     out = []
     for name in WORKLOADS:
-        program = get_workload(name).make_program(THREADS, SCALE, seed=SEED)
-        trace = record_program(program).trace
+        trace = record(name)
         plan = compile_trace(trace)
-        tids = sorted(int(t) for t in trace.thread_ids())
-        bound = {t: ThreadPolicy(bound=True) for t in tids}
-        configs = [
-            (f"{cpus}cpu/{binding}", SimConfig(
-                cpus=cpus, thread_policies=bound if binding == "bound" else {}
-            ))
-            for cpus in CPUS
-            for binding in ("unbound", "bound")
-        ]
-        if name == POLICY_WORKLOAD:
-            configs += _policy_cells(tids)
-        for scheduler in available_backends():
-            for label, config in configs:
-                out.append((
-                    f"{name}/{label}/{scheduler}", plan,
-                    config.with_scheduler(scheduler),
-                ))
+        out += [(label, plan, config) for label, config in workload_cells(name, trace)]
     return out
 
 
