@@ -99,7 +99,7 @@ class AnalyticProfile:
         return lo, hi, "default"
 
     def fingerprint(self) -> str:
-        """Content hash — part of every analytic job's fingerprint, so
+        """Content hash — part of every analytic answer's address, so
         re-calibrating invalidates previously cached analytic answers.
 
         Hashed once per profile object: the profile is frozen, and

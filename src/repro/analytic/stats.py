@@ -10,8 +10,10 @@ JSON-safe, fingerprintable profile from which the closed-form models in
 without touching the simulator.
 
 Everything here is derived from the monitored uni-processor log alone,
-so one extraction serves every cell of a what-if grid; the worker keeps
-extracted profiles in a per-process LRU next to its plan cache.
+so one extraction serves every cell of a what-if grid:
+:func:`repro.jobs.manifest.run_grid` extracts once per grid, from the
+trace its caller already parsed, and only when the result cache cannot
+answer a cell.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 #: Version of the extraction semantics, baked into every stats
-#: fingerprint (and, transitively, every analytic job fingerprint).
+#: fingerprint (and in the payload of every cached analytic answer).
 #: Bump whenever the decomposition rules change.
 STATS_VERSION = 1
 

@@ -21,6 +21,10 @@ job simply re-runs.
 
 Only *successful* outcomes (complete or partial simulations) are
 cached; a failed job (``error`` set) is always retried next time.
+
+One cache serves every thread of a ``vppb serve`` process, so a lock
+guards the LRU front and the counters; disk reads and writes run
+outside it (the atomic rename already makes them safe to overlap).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
@@ -75,6 +80,7 @@ class ResultCache:
         self.root = Path(root) if root is not None else None
         self.max_memory_entries = max_memory_entries
         self._lru: "OrderedDict[str, JobOutcome]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -87,26 +93,28 @@ class ResultCache:
 
     def get(self, fingerprint: str) -> Optional[JobOutcome]:
         """The cached outcome for *fingerprint*, or None (counted)."""
-        cached = self._lru.get(fingerprint)
-        if cached is not None:
-            self._lru.move_to_end(fingerprint)
-            self.hits += 1
-            return cached
-        if self.root is not None:
-            entry = self._read_disk(fingerprint)
-            if entry is not None:
-                self._remember(fingerprint, entry)
+        with self._lock:
+            cached = self._lru.get(fingerprint)
+            if cached is not None:
+                self._lru.move_to_end(fingerprint)
                 self.hits += 1
-                return entry
-        self.misses += 1
-        return None
+                return cached
+        entry = self._read_disk(fingerprint) if self.root is not None else None
+        with self._lock:
+            if entry is None:
+                self.misses += 1
+                return None
+            self._remember(fingerprint, entry)
+            self.hits += 1
+            return entry
 
     def put(self, outcome: JobOutcome) -> None:
         """Store a successful outcome (failed outcomes are not cached)."""
         if not outcome.ok:
             return
-        self.stores += 1
-        self._remember(outcome.fingerprint, outcome)
+        with self._lock:
+            self.stores += 1
+            self._remember(outcome.fingerprint, outcome)
         if self.root is None:
             return
         path = self._path_for(outcome.fingerprint)
@@ -166,7 +174,8 @@ class ResultCache:
             # a concurrent reader may have quarantined it first; losing
             # the race (or an unwritable cache) must still read as a miss
             pass
-        self.corrupt_quarantined += 1
+        with self._lock:
+            self.corrupt_quarantined += 1
 
     def flush(self) -> int:
         """Persist every in-memory entry missing from disk; return count.
@@ -180,7 +189,9 @@ class ResultCache:
         if self.root is None:
             return 0
         written = 0
-        for fingerprint, outcome in list(self._lru.items()):
+        with self._lock:
+            entries = list(self._lru.items())
+        for fingerprint, outcome in entries:
             if self._path_for(fingerprint).exists():
                 continue
             self.put(outcome)
@@ -188,8 +199,9 @@ class ResultCache:
         return written
 
     def _remember(self, fingerprint: str, outcome: JobOutcome) -> None:
-        # cached reads must report from_cache=True even when the entry
-        # was populated by this process's own put()
+        # called with the lock held.  Cached reads must report
+        # from_cache=True even when the entry was populated by this
+        # process's own put()
         self._lru[fingerprint] = (
             outcome if outcome.from_cache else JobOutcome.from_dict(
                 outcome.to_dict(), from_cache=True
@@ -207,12 +219,13 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": round(self.hit_rate, 4),
-            "memory_entries": len(self._lru),
-            "persistent": self.root is not None,
-            "corrupt_quarantined": self.corrupt_quarantined,
-        }
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "stores": self.stores,
+                "hit_rate": round(self.hit_rate, 4),
+                "memory_entries": len(self._lru),
+                "persistent": self.root is not None,
+                "corrupt_quarantined": self.corrupt_quarantined,
+            }

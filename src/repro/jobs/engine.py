@@ -172,9 +172,6 @@ class JobEngine:
             "budget": budget if budget is not None else self._budget,
             "label": job.label,
             "kind": job.kind,
-            # ship the profile by value: worker processes must not
-            # depend on a profile file existing on their side
-            "profile": job.profile.to_dict() if job.profile is not None else None,
         }
 
     def _breaker_open_outcome(self, job: SimJob, fingerprint: str) -> JobOutcome:

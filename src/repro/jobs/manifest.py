@@ -41,10 +41,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SimConfig, ThreadPolicy
-from repro.core.errors import AnalysisError, ConfigError, SimulationError
+from repro.core.errors import AnalysisError, ConfigError, SimulationError, VppbError
 from repro.core.predictor import SpeedupPrediction
 from repro.core.result import RunStatus
 from repro.core.trace import Trace
+from repro.jobs import model as job_model
 from repro.jobs.engine import Budget, JobEngine
 from repro.jobs.model import JobOutcome, SimJob, TraceRef
 from repro.jobs.tiering import (
@@ -517,6 +518,7 @@ def run_grid(
     cells: Sequence[GridCell],
     *,
     tier: str = "sim",
+    trace: Optional[Trace] = None,
     analytic_profile=None,
     target_fraction: float = DEFAULT_TARGET_FRACTION,
     budget: Optional[Budget] = None,
@@ -533,37 +535,42 @@ def run_grid(
     cross-backend speed-ups stay comparable.
 
     *tier* selects how cells are answered: ``"sim"`` replays every
-    cell; ``"analytic"`` answers every cell from the closed-form models
-    (needs *analytic_profile*); ``"auto"`` starts analytic and replays
-    exactly the cells whose intervals cannot decide the grid's queries
+    cell; ``"analytic"`` answers every cell from the closed-form models;
+    ``"auto"`` starts analytic and replays exactly the cells whose
+    intervals cannot decide the grid's queries
     (:func:`escalation_labels`).  The models assume a replay that
     completes, so once an escalated replay deadlocks, livelocks or
-    diverges, every remaining analytic cell is replayed too.
+    diverges, every remaining analytic cell is replayed too.  Both
+    tiered modes need *analytic_profile* and *trace* (the parsed trace
+    *ref* names): analytic answers are computed here, and only replays
+    go through *engine*.
 
     Only complete replays (and analytic answers) get a speed-up or
     enter :func:`decide`; a partial replay's makespan is merely the
     simulated time reached.  *budget* is the per-call watchdog budget
     (a request deadline); partial outcomes under it are never cached.
     """
+    if tier != "sim" and (trace is None or analytic_profile is None):
+        raise ValueError(f"tier {tier!r} needs the parsed trace and an analytic profile")
     baseline_job = SimJob(
         trace=ref,
         config=uniprocessor_config(cells[0].config if cells else None),
         label="baseline",
     )
-    first_tier = "sim" if tier == "sim" else "analytic"
-    cell_jobs = [
-        SimJob(
-            trace=ref,
-            config=cell.config,
-            label=cell.label,
-            kind=first_tier,
-            profile=None if tier == "sim" else analytic_profile,
+    if tier == "sim":
+        first_tier = "sim"
+        baseline, *outcomes = engine.run(
+            [baseline_job]
+            + [SimJob(trace=ref, config=cell.config, label=cell.label) for cell in cells],
+            use_cache=use_cache,
+            budget=budget,
         )
-        for cell in cells
-    ]
-    baseline, *outcomes = engine.run(
-        [baseline_job] + cell_jobs, use_cache=use_cache, budget=budget
-    )
+    else:
+        first_tier = "analytic"
+        outcomes = _estimate_cells(
+            engine, ref, trace, cells, analytic_profile, use_cache=use_cache
+        )
+        (baseline,) = engine.run([baseline_job], use_cache=use_cache, budget=budget)
     baseline_us = (
         baseline.makespan_us if baseline.complete and baseline.makespan_us else None
     )
@@ -644,6 +651,76 @@ def run_grid(
     )
 
 
+def _estimate_cells(
+    engine: JobEngine,
+    ref: TraceRef,
+    trace: Trace,
+    cells: Sequence[GridCell],
+    profile,
+    *,
+    use_cache: bool,
+) -> List[JobOutcome]:
+    """Every cell's analytic answer, cached under its analytic job address.
+
+    An answer reads like a replay's outcome: ``makespan_us`` is the
+    point estimate, ``engine_events`` 0, and ``payload`` holds the
+    ``[lo, hi]`` interval.  The cells the cache cannot answer share one
+    :class:`~repro.analytic.stats.TraceStats` extracted from *trace*; a
+    :class:`~repro.core.errors.VppbError` fails the cells it touches,
+    uncached.  The extractor, the models and the address function are
+    looked up on their modules at call time, so wrappers there see
+    every call.
+    """
+    from repro.analytic import models, stats as trace_stats
+
+    profile_fp = profile.fingerprint()
+    addresses = [
+        job_model.analytic_job_fingerprint(ref.fingerprint, cell.config, profile_fp)
+        for cell in cells
+    ]
+    answers: Dict[str, JobOutcome] = {}
+    missing: Dict[str, SimConfig] = {}
+    for fp, cell in zip(addresses, cells):
+        if fp in answers or fp in missing:
+            continue
+        cached = engine.cache.get(fp) if use_cache else None
+        if cached is not None:
+            answers[fp] = cached
+        else:
+            missing[fp] = cell.config
+    if missing:
+        try:
+            stats = trace_stats.extract_stats(trace)
+            tag = {"kind": "analytic", "stats_fingerprint": stats.fingerprint()}
+        except VppbError as exc:
+            answers.update((fp, _failed(fp, exc)) for fp in missing)
+            missing = {}
+    for fp, config in missing.items():
+        try:
+            interval = models.estimate_makespan(stats, config, profile)
+        except VppbError as exc:
+            answers[fp] = _failed(fp, exc)
+            continue
+        answers[fp] = JobOutcome(
+            fingerprint=fp,
+            status=RunStatus.COMPLETE.value,
+            makespan_us=interval.point_us,
+            payload={**interval.to_dict(), **tag},
+        )
+        if use_cache:
+            engine.cache.put(answers[fp])
+    return [answers[fp].with_label(cell.label) for fp, cell in zip(addresses, cells)]
+
+
+def _failed(fingerprint: str, exc: VppbError) -> JobOutcome:
+    """An answer that raised, as a failed job reports it (never cached)."""
+    return JobOutcome(
+        fingerprint=fingerprint,
+        status=JobOutcome.FAILED,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _interval(outcome: JobOutcome) -> Optional[Tuple[int, int]]:
     """An analytic answer's ``(lo, hi)`` makespan bounds (None otherwise)."""
     if not (outcome.ok and outcome.payload):
@@ -705,6 +782,7 @@ def run_manifest(
         ref,
         manifest.configs(trace),
         tier=tier,
+        trace=trace,
         analytic_profile=analytic_profile,
         target_fraction=target_fraction,
         use_cache=use_cache,

@@ -170,9 +170,10 @@ class EngineMetrics:
                     "misses": self.plan_cache_misses,
                 },
                 # jobs executed and plan-cache traffic per job kind
-                # (sim, lint, analytic; cache hits show under cache
-                # stats) and per kernel scheduler backend (cross-OS
-                # sweeps run the same trace under several kernels)
+                # (sim, lint; cache hits show under cache stats, and
+                # analytic answers under analytic_hits) and per kernel
+                # scheduler backend (cross-OS sweeps run the same trace
+                # under several kernels)
                 "kinds": _breakdown(self.by_kind),
                 "schedulers": _breakdown(self.by_scheduler),
             }

@@ -3,12 +3,14 @@
 A :class:`SimJob` pairs a :class:`TraceRef` (a log file on disk, or the
 canonical text of an in-memory trace) with a
 :class:`~repro.core.config.SimConfig` and a ``kind``: a replay
-(``"sim"``), a predictive-lint probe (``"lint"``) or an analytic
-estimate (``"analytic"``).  Its fingerprint is the content address of
-the result; equal fingerprints mean equal work, so the result cache
-keys on it.  A kind is two table entries: its address in
-:data:`FINGERPRINTS` here, its execution in
-:data:`repro.jobs.worker.EXECUTORS`.
+(``"sim"``) or a predictive-lint probe (``"lint"``).  Its fingerprint is
+the content address of the result; equal fingerprints mean equal work,
+so the result cache keys on it.  A kind is two table entries: its
+address in :data:`FINGERPRINTS` here, its execution in
+:data:`repro.jobs.worker.EXECUTORS`.  Analytic estimates are not jobs:
+:func:`repro.jobs.manifest.run_grid` computes them in-process, and
+caches them under :func:`analytic_job_fingerprint` addresses resolved
+through this module.
 
 A :class:`JobOutcome` is deliberately flat and JSON-safe — it crosses
 process boundaries (worker → engine) and lives in the on-disk cache, so
@@ -79,14 +81,12 @@ class TraceRef:
 
 #: Job kind -> its content address.  The only place a kind's fingerprint
 #: is defined (its execution lives in :data:`repro.jobs.worker.EXECUTORS`).
-#: The fingerprint functions are looked up in this module's globals at
+#: The fingerprint functions, and :func:`analytic_job_fingerprint` for
+#: run_grid's analytic answers, are looked up in this module's globals at
 #: call time, so a wrapper installed there sees every call.
 FINGERPRINTS: Dict[str, Callable[["SimJob"], str]] = {
     "sim": lambda job: job_fingerprint(job.trace.fingerprint, job.config),
     "lint": lambda job: lint_job_fingerprint(job.trace.fingerprint, job.config),
-    "analytic": lambda job: analytic_job_fingerprint(
-        job.trace.fingerprint, job.config, job.profile.fingerprint()
-    ),
 }
 
 
@@ -97,12 +97,8 @@ class SimJob:
     ``"sim"`` replays the trace; ``"lint"`` probes whether each
     predictive-lint hazard manifests under *config* (verdicts come back
     in the outcome's ``payload``, see
-    :func:`repro.analysis.lint.predictive.probe_trace`); ``"analytic"``
-    estimates calibrated ``[lo, hi]`` makespan bounds without a replay
-    and needs *profile*, an
-    :class:`~repro.analytic.profile.AnalyticProfile` (typed loosely to
-    keep this module import-light; only ``fingerprint()``/``to_dict()``
-    are used).  Each kind has its own fingerprint namespace.
+    :func:`repro.analysis.lint.predictive.probe_trace`).  Each kind has
+    its own fingerprint namespace.
 
     ``label`` is a human-readable scenario name carried through to
     reports ("8cpu/bound"); it does not participate in the fingerprint.
@@ -112,7 +108,6 @@ class SimJob:
     config: SimConfig
     label: str = ""
     kind: str = "sim"
-    profile: Any = None
 
     def __post_init__(self) -> None:
         if self.kind not in FINGERPRINTS:
@@ -120,8 +115,6 @@ class SimJob:
                 f"unknown job kind {self.kind!r} "
                 f"(known: {', '.join(sorted(FINGERPRINTS))})"
             )
-        if (self.profile is not None) != (self.kind == "analytic"):
-            raise ValueError("a job takes a profile exactly when kind='analytic'")
 
     @property
     def fingerprint(self) -> str:
@@ -157,13 +150,13 @@ class JobOutcome:
     from_cache: bool = False
     label: str = ""
     #: 0-or-1 per job: did the worker's in-process caches serve every
-    #: per-trace artifact the job needed (compiled replay plan, lint
-    #: context or extracted stats: hit), or was one built fresh (miss)?
+    #: per-trace artifact the job needed (compiled replay plan or lint
+    #: context: hit), or was one built fresh (miss)?
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: Kind-specific result data (JSON-safe), tagged with the kind: lint
-    #: probes' per-finding manifestation verdicts, analytic estimates'
-    #: ``[lo, hi]`` interval.  Replays leave it None.
+    #: probes' per-finding manifestation verdicts, run_grid's analytic
+    #: answers' ``[lo, hi]`` interval.  Replays leave it None.
     payload: Optional[Dict[str, Any]] = None
 
     #: The job raised before producing any result (unparseable trace, ...).

@@ -341,6 +341,7 @@ class PredictionService:
             ref,
             cells,
             tier=tier,
+            trace=trace,
             analytic_profile=profile,
             target_fraction=target,
             budget=(

@@ -11,10 +11,10 @@ exhausted budget all come back as a result dict the engine turns into a
 handles with a retry.
 
 Each worker process keeps one small LRU per artifact sort a kind derives
-from a trace — compiled replay plans, lint probe contexts, extracted
-stats — keyed by trace fingerprint (:func:`_cached`).  A sweep sends the
-same trace to the pool N times, and deriving those once per *process*
-instead of once per *job* is most of the win of batching.  Every result
+from a trace — compiled replay plans and lint probe contexts — keyed by
+trace fingerprint (:func:`_cached`).  A sweep sends the same trace to
+the pool N times, and deriving those once per *process* instead of once
+per *job* is most of the win of batching.  Every result
 dict reports whether its artifacts came from the cache
 (``plan_cache_hits`` / ``plan_cache_misses``, 0-or-1 per job) so
 ``/metrics`` and ``vppb batch`` can show compile amortisation.
@@ -44,8 +44,8 @@ CRASH_SENTINEL = "#!vppb-faultinject-worker-crash\n"
 #: Traces each per-process artifact LRU holds.
 CACHE_CAPACITY = 4
 
-#: artifact sort ("plan", "lint", "stats") -> (trace fingerprint ->
-#: artifact), per process.
+#: artifact sort ("plan", "lint") -> (trace fingerprint -> artifact),
+#: per process.
 _CACHES: Dict[str, "OrderedDict[str, Any]"] = {}
 
 #: A kind's answer: (every artifact came from the cache?, result fields).
@@ -77,9 +77,8 @@ def run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     Payload keys: ``fingerprint``, ``trace_fp``, ``trace_path`` /
     ``trace_text`` (one required), ``config`` (a pickled
     :class:`~repro.core.config.SimConfig`), ``budget`` (an optional
-    ``(max_events, max_wall_s)`` pair), ``label``, ``kind`` (a key of
-    :data:`EXECUTORS`, default ``"sim"``) and, for analytic jobs,
-    ``profile`` (the profile's dict form).
+    ``(max_events, max_wall_s)`` pair), ``label`` and ``kind`` (a key
+    of :data:`EXECUTORS`, default ``"sim"``).
     """
     if payload.get("trace_text") == CRASH_SENTINEL:
         os._exit(3)  # simulate a segfaulting worker, not an exception
@@ -163,39 +162,11 @@ def _run_lint(payload: Dict[str, Any]) -> Executed:
     }
 
 
-def _run_analytic(payload: Dict[str, Any]) -> Executed:
-    """One analytical estimate: calibrated ``[lo, hi]`` makespan bounds.
-
-    ``makespan_us`` carries the calibrated point estimate so downstream
-    consumers that only read makespans keep working; the interval and
-    per-model detail travel in ``payload``.  ``engine_events`` stays 0 —
-    nothing was replayed, which is the whole point.
-    """
-    from repro.analytic.models import estimate_makespan
-    from repro.analytic.profile import AnalyticProfile
-    from repro.analytic.stats import extract_stats
-
-    stats, cache_hit = _cached(
-        "stats", payload["trace_fp"], lambda: extract_stats(_load(payload))
-    )
-    profile = AnalyticProfile.from_dict(payload["profile"])
-    interval = estimate_makespan(stats, payload["config"], profile)
-    result_payload = interval.to_dict()
-    result_payload["kind"] = "analytic"
-    result_payload["stats_fingerprint"] = stats.fingerprint()
-    return cache_hit, {
-        "status": "complete",
-        "makespan_us": interval.point_us,
-        "payload": result_payload,
-    }
-
-
 #: Job kind -> executor.  The only place a kind's execution is defined
 #: (its address lives in :data:`repro.jobs.model.FINGERPRINTS`).
 EXECUTORS: Dict[str, Callable[[Dict[str, Any]], Executed]] = {
     "sim": _run_sim,
     "lint": _run_lint,
-    "analytic": _run_analytic,
 }
 
 
