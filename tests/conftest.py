@@ -9,6 +9,10 @@ from repro.program import ops as op
 from repro.program.program import barrier
 from repro.solaris import costs as costs_mod
 
+#: Job outcome fields that legitimately differ between inline, pooled and
+#: cached answers to the same question.
+VOLATILE = ("elapsed_s", "attempts", "plan_cache_hits", "plan_cache_misses")
+
 
 # ---------------------------------------------------------------------------
 # canonical little programs
