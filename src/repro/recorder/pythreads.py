@@ -64,7 +64,9 @@ class PyThreadsRecorder:
         self.program = program
         self._records: List[tuple] = []  # (us, tid, phase, prim, kw, site)
         self._t0_ns: Optional[int] = None
-        self._tids: Dict[int, int] = {}  # python ident -> solaris-ish tid
+        #: Thread object -> solaris-ish tid (not the OS ident, which the
+        #: next thread reuses once this one has exited)
+        self._tids: Dict[threading.Thread, int] = {}
         self._next_tid = itertools.count(4)
         self._obj_names: Dict[int, str] = {}
         self._obj_counter: Dict[str, itertools.count] = {}
@@ -80,16 +82,18 @@ class PyThreadsRecorder:
         assert self._t0_ns is not None
         return max(0, (time.monotonic_ns() - self._t0_ns) // 1_000)
 
-    def _tid(self) -> ThreadId:
-        ident = threading.get_ident()
+    def _tid(self, thread: Optional[threading.Thread] = None) -> ThreadId:
+        """The recorded tid of *thread* (default: the calling thread)."""
+        if thread is None:
+            thread = threading.current_thread()
         with self._lock:
-            tid = self._tids.get(ident)
+            tid = self._tids.get(thread)
             if tid is None:
-                if threading.current_thread() is threading.main_thread():
+                if thread is threading.main_thread():
                     tid = int(MAIN_THREAD_ID)
                 else:
                     tid = next(self._next_tid)
-                self._tids[ident] = tid
+                self._tids[thread] = tid
         return ThreadId(tid)
 
     def _name_object(self, kind: str, name: Optional[str]) -> str:
@@ -170,13 +174,8 @@ class PyThreadsRecorder:
                 site = capture_call_site()
                 rec._record(Phase.CALL, Primitive.THR_CREATE, site=site)
                 super().start(*a, **k)
-                # the child registered its tid in run(); wait for it
-                child = rec._tids.get(self.ident)
-                if child is None:
-                    with rec._lock:
-                        child = rec._tids.setdefault(
-                            self.ident, next(rec._next_tid)
-                        )
+                # the child may already have registered its tid in run()
+                child = rec._tid(self)
                 func = getattr(self._target_func, "__name__", self.name)
                 rec._thread_functions[child] = func
                 rec._record(
@@ -198,7 +197,7 @@ class PyThreadsRecorder:
 
             def join(self, timeout=None):
                 site = capture_call_site()
-                child = rec._tids.get(self.ident)
+                child = rec._tids.get(self)
                 target = ThreadId(child) if child is not None else None
                 rec._record(
                     Phase.CALL, Primitive.THR_JOIN, site=site, target=target

@@ -64,6 +64,27 @@ class TestRecorderBasics:
         tids = {int(r.tid) for r in rec.trace()}
         assert 1 in tids and 4 in tids
 
+    def test_sequential_threads_record_distinct_tids(self):
+        """The OS hands a finished thread's ident to the next one; each
+        thread still records under its own tid."""
+        rec = PyThreadsRecorder("t")
+        with rec.collecting():
+            for _ in range(6):
+                t = rec.Thread(target=lambda: None)
+                t.start()
+                t.join()
+        trace = rec.trace()
+        created = [
+            int(r.target) for r in trace
+            if r.primitive is Primitive.THR_CREATE and r.phase is Phase.RET
+        ]
+        joined = [
+            int(r.target) for r in trace
+            if r.primitive is Primitive.THR_JOIN and r.phase is Phase.RET
+        ]
+        assert created == joined == list(range(4, 10))
+        assert {int(r.tid) for r in trace} == {1, *range(4, 10)}
+
     def test_thread_function_names_resolved(self):
         rec = PyThreadsRecorder("t")
 
