@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Tuple
 from repro.core.events import Phase, Primitive
 from repro.core.ids import MAIN_THREAD_ID
 from repro.core.trace import Trace
+from repro.jobs.fingerprint import STATS_VERSION
 
 __all__ = [
     "STATS_VERSION",
@@ -34,11 +35,6 @@ __all__ = [
     "TraceStats",
     "extract_stats",
 ]
-
-#: Version of the extraction semantics, baked into every stats
-#: fingerprint (and in the payload of every cached analytic answer).
-#: Bump whenever the decomposition rules change.
-STATS_VERSION = 1
 
 #: Call→return spans counted as synchronisation time.
 _SYNC_PRIMS = frozenset(

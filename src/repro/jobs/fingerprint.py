@@ -34,6 +34,7 @@ __all__ = [
     "ENGINE_VERSION",
     "LINT_VERSION",
     "ANALYTIC_VERSION",
+    "STATS_VERSION",
     "canonical_trace",
     "trace_fingerprint",
     "canonical_config",
@@ -61,6 +62,13 @@ LINT_VERSION = 1
 #: or model arithmetic changes; re-calibration alone re-keys through the
 #: profile fingerprint instead.
 ANALYTIC_VERSION = 1
+
+#: Version of the trace-statistics extraction
+#: (:mod:`repro.analytic.stats`), baked into every stats fingerprint and
+#: every analytic-job fingerprint.  Bump whenever the decomposition rules
+#: change.  Defined here, beside the other versions that key cached
+#: answers, because :mod:`repro.analytic` imports this module.
+STATS_VERSION = 1
 
 
 def _sha256(text: str) -> str:
@@ -182,9 +190,11 @@ def analytic_job_fingerprint(
 
     Includes the calibration profile's content hash: re-calibrating
     changes the margins, so previously cached analytic answers must stop
-    being served even though trace and config are unchanged.
+    being served even though trace and config are unchanged.  Includes
+    :data:`STATS_VERSION` too: a new extraction changes the stats every
+    estimate is computed from.
     """
     return _sha256(
-        f"vppb-analytic:v{ANALYTIC_VERSION}:e{ENGINE_VERSION}:{profile_fp}:"
-        f"{trace_fp}:{config_fingerprint(config)}"
+        f"vppb-analytic:v{ANALYTIC_VERSION}:s{STATS_VERSION}:e{ENGINE_VERSION}:"
+        f"{profile_fp}:{trace_fp}:{config_fingerprint(config)}"
     )

@@ -34,6 +34,7 @@ from repro.jobs import (
     job_fingerprint,
     trace_fingerprint,
 )
+from repro.jobs import fingerprint
 from repro.jobs.fingerprint import analytic_job_fingerprint
 from repro.jobs.manifest import curve_cells, run_grid, run_manifest
 from repro.jobs.model import FINGERPRINTS
@@ -355,9 +356,9 @@ class TestJobKinds:
         ("lint", "solaris"): "2e2fcd46ff3148203bf02524e0b5fb6d9be9ab6720923b831c12615a683bf473",
         ("lint", "cfs"): "fda6e1ebfaff5c2e710ea2f81845b76dec2ad8ab75d1be97e62421764133f18d",
         ("lint", "clutch"): "cef01fad84367d9f8c56dff58afda5cf8323097b914711e775f49aa02033310b",
-        ("analytic", "solaris"): "1af48144e214a455324e8c1ec4f93a99ccfe4b28fe1feec4fd7757a62aef8162",
-        ("analytic", "cfs"): "de49e6f475053818cad4ae8e1a5d84369837cb954ebf1f0e4b3e41bd531cc922",
-        ("analytic", "clutch"): "078d555d9949cd6e92c5d5f03df0dfd1e59d6f60e236c2cb4f6e06f1473bc797",
+        ("analytic", "solaris"): "3d8a41037777cfffcee623ac537691bf371a3528573a8f8ed4acaa5120af5ceb",
+        ("analytic", "cfs"): "ab742bf1d5b0b87fd877ac9f84b123a0b7913c56073b5cc20c5e8221fbf6ce88",
+        ("analytic", "clutch"): "5f9568efdaaa1e7826d7846e992a0c8c8ffa6b062f108d9391967b9767963575",
     }
 
     def test_both_tables_name_the_same_kinds(self):
@@ -368,6 +369,16 @@ class TestJobKinds:
         ref = TraceRef(fingerprint="f" * 64, text="")
         address = _address(ref, SimConfig(cpus=4, scheduler=scheduler), kind)
         assert address == self.PINNED[kind, scheduler]
+
+    @pytest.mark.parametrize("constant", [
+        "ENGINE_VERSION", "ANALYTIC_VERSION", "STATS_VERSION",
+    ])
+    def test_analytic_address_follows_its_versions(self, constant, monkeypatch):
+        ref = TraceRef(fingerprint="f" * 64, text="")
+        config = SimConfig(cpus=4)
+        before = _address(ref, config, "analytic")
+        monkeypatch.setattr(fingerprint, constant, getattr(fingerprint, constant) + 1)
+        assert _address(ref, config, "analytic") != before
 
     @pytest.mark.parametrize("kind", sorted(EXECUTORS))
     def test_inline_pool_and_cache_agree(self, kind, trace):
