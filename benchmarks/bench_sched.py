@@ -10,11 +10,11 @@ Solaris backend's fast-path cost on the same trace.
 Two fixture sets, because backend cost only shows where dispatch
 decisions happen:
 
-* ``bench_replay.py``'s fixtures (imported from it) — uncontended
-  sync-heavy replay, a contended producer/consumer, and a
-  barrier-structured numeric workload, each with at most one thread per
-  CPU.  Here every backend replays about as many engine events, so the
-  gate compares the cost per replay.
+* ``lock-ladder`` (uncontended sync-heavy replay: pure interpreter
+  dispatch), a contended producer/consumer, and a barrier-structured
+  numeric workload, each with at most one thread per CPU.  Here every
+  backend replays about as many engine events, so the gate compares the
+  cost per replay.
 * an **oversubscribed** set — ``water`` and ``ocean`` at 8 threads on
   1, 2 and 4 CPUs, the regime of the cross-OS sweeps.  CFS and Clutch
   slice and wake-preempt here, so they replay 1.4–7x as many engine
@@ -43,11 +43,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from _common import BENCH_RUNS, BENCH_SCALE, emit, save_json  # noqa: E402
-from bench_replay import _fixtures  # noqa: E402
 
 from repro import Program, SimConfig, record_program  # noqa: E402
 from repro.core.predictor import compile_trace  # noqa: E402
 from repro.core.simulator import Simulator  # noqa: E402
+from repro.program import ops as op  # noqa: E402
 from repro.sched import available_backends  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
 
@@ -56,6 +56,30 @@ REFERENCE = "solaris"
 #: allowed cost per replayed engine event, relative to Solaris, on the
 #: oversubscribed fixtures
 MAX_PER_EVENT_RATIO = 2.5
+
+
+def make_lock_ladder(scale: float) -> Program:
+    """One thread hammering an uncontended mutex: no blocking, no
+    preemption, so replay time is pure interpreter dispatch plus
+    sync-table bookkeeping."""
+    rounds = max(1_000, int(20_000 * scale))
+
+    def main(ctx):
+        for _ in range(rounds):
+            yield op.MutexLock("m")
+            yield op.MutexUnlock("m")
+
+    return Program("lock-ladder", main)
+
+
+def _fixtures(scale: float):
+    """At most one thread per CPU: every backend replays about as many
+    engine events."""
+    return [
+        ("lock-ladder", make_lock_ladder(scale), 1),
+        ("prodcons", get_workload("prodcons").make_program(4, max(0.2, scale)), 4),
+        ("barrier-fft", get_workload("fft").make_program(4, max(0.2, scale)), 4),
+    ]
 
 
 def _oversubscribed(scale: float):
@@ -70,15 +94,12 @@ def _oversubscribed(scale: float):
 def _replay_s(plan, config) -> float:
     sim = Simulator(config)
     start = time.perf_counter()
-    sim.run_replay(plan, replay_engine="fast")
+    sim.run_replay(plan)
     return time.perf_counter() - start
 
 
 def bench_fixture(name: str, program: Program, cpus: int, runs: int, backends) -> dict:
-    trace = record_program(program).trace
-    plan = compile_trace(trace)
-    if not plan.fast_replayable():
-        raise SystemExit(f"{name}: plan did not lower to the fast form")
+    plan = compile_trace(record_program(program).trace)
 
     configs = {b: SimConfig(cpus=cpus, scheduler=b) for b in backends}
     # determinism sanity before timing: every backend must replay the
@@ -88,8 +109,8 @@ def bench_fixture(name: str, program: Program, cpus: int, runs: int, backends) -
     # than the always-ticking Solaris model on the same plan.
     events = {}
     for b, config in configs.items():
-        first = Simulator(config).run_replay(plan, replay_engine="fast")
-        second = Simulator(config).run_replay(plan, replay_engine="fast")
+        first = Simulator(config).run_replay(plan)
+        second = Simulator(config).run_replay(plan)
         if first != second:
             raise SystemExit(f"{name}/{b}: nondeterministic replay")
         events[b] = first.engine_events

@@ -303,9 +303,8 @@ def predict(
     """Simulate the traced program on the given machine (fig. 1 (g)).
 
     A pre-compiled *plan* can be supplied to amortise compilation across a
-    processor sweep; note that a plan is consumed by a single simulation
-    only when it shares mutable state — our plans are re-usable because
-    :class:`~repro.program.behavior.ReplayBehavior` copies the step lists.
+    processor sweep: a replay only reads the plan (its per-run state lives
+    in the simulator), so one plan serves any number of simulations.
 
     With ``strict=False`` a deadlocked, livelocked, diverged or
     over-budget replay returns a *partial*

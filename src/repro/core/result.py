@@ -136,7 +136,7 @@ class PlacedEvent(NamedTuple):
 
     A NamedTuple rather than a dataclass: one instance is built per
     simulated library call, so construction cost is on the replay hot
-    path for both engines.
+    path.
     """
 
     index: int

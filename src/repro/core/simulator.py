@@ -29,8 +29,7 @@ The same class performs three roles from the paper's figure 1:
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
 from typing import Callable, Dict, Iterator, List, Optional, Protocol
 
@@ -54,7 +53,7 @@ from repro.core.result import (
     ThreadSummary,
 )
 from repro.program import ops as op_mod
-from repro.program.behavior import LiveBehavior, ReplayBehavior, Step, ThreadBehavior
+from repro.program.behavior import LiveBehavior, Step, ThreadBehavior
 from repro.program.program import Program, ThreadCtx
 from repro.solaris.scheduler import Scheduler
 from repro.solaris.sync import NO_RESULT, SyncObjectTable
@@ -135,20 +134,22 @@ class CompiledThread:
 
     __slots__ = (
         "codes", "works", "prims", "ops", "objs", "targets",
-        "sync_slots", "slot_specs", "create_idx", "src_len", "n",
+        "sync_slots", "slot_specs", "create_idx", "n",
     )
 
     def __init__(self, steps: List[Step]):
         seq = list(steps)
-        self.src_len = len(steps)
         if not seq or type(seq[-1].op) is not op_mod.ThrExit:
-            # the legacy path synthesises Step(0, ThrExit()) when a
+            # need_step synthesises Step(0, ThrExit()) when a live
             # behaviour runs dry; bake the same sentinel in
             seq.append(Step(0, op_mod.ThrExit()))
         ops = tuple(s.op for s in seq)
         self.ops = ops
         self.works = tuple(s.work_us for s in seq)
-        self.codes = tuple(_OPCODE_OF[type(op)] for op in ops)
+        try:
+            self.codes = tuple(_OPCODE_OF[type(op)] for op in ops)
+        except KeyError as exc:  # an Op subclass outside the vocabulary
+            raise ProgramError(f"unhandled op {exc.args[0].__name__}") from None
         self.prims = tuple(
             0 if op.primitive is None else _PRIM_IDX[op.primitive] for op in ops
         )
@@ -183,11 +184,12 @@ class ReplayPlan:
     """A compiled trace: per-thread step lists plus thread attributes.
 
     Produced by :func:`repro.core.predictor.compile_trace`; consumed by
-    :meth:`Simulator.run_replay`.  Construction eagerly lowers every
-    thread's steps into a :class:`CompiledThread` (``compiled``) for the
-    fast replay interpreter, and caches ``total_steps()`` /
-    ``event_count``.  Do not mutate ``steps`` in place afterwards — build
-    a new plan instead (the fault-injection and what-if transforms do).
+    :meth:`Simulator.run_replay`.  Construction lowers every thread's
+    steps into a :class:`CompiledThread` (``compiled``), the form a
+    replay runs, and raises :class:`ProgramError` for an op outside the
+    simulator's vocabulary.  Do not mutate ``steps`` in place afterwards
+    — build a new plan instead (the fault-injection and what-if
+    transforms do).
     """
 
     steps: Dict[int, List[Step]]
@@ -195,35 +197,14 @@ class ReplayPlan:
     program_name: str = "a.out"
 
     def __post_init__(self) -> None:
-        total = sum(len(steps) for steps in self.steps.values())
-        self._total_steps = total
-        #: number of recorded library calls the plan replays (one placed
-        #: event per step) — what watchdog event budgets and the replay
-        #: benchmark size themselves against
-        self.event_count = total
-        #: None when an op type has no handler (an Op subclass outside the
-        #: vocabulary): the plan then replays on the object-walking path,
-        #: which reports the unhandled op
-        self.compiled: Optional[Dict[int, CompiledThread]] = None
-        op_types = {type(s.op) for steps in self.steps.values() for s in steps}
-        if op_types <= _OPCODE_OF.keys():
-            self.compiled = {
-                tid: CompiledThread(steps) for tid, steps in self.steps.items()
-            }
+        self._total_steps = sum(len(steps) for steps in self.steps.values())
+        self.compiled: Dict[int, CompiledThread] = {
+            tid: CompiledThread(steps) for tid, steps in self.steps.items()
+        }
 
     def total_steps(self) -> int:
+        """Recorded library calls the plan replays (one placed event each)."""
         return self._total_steps
-
-    def fast_replayable(self) -> bool:
-        """True when every thread lowered and the step lists still match
-        the compiled form (guards against in-place mutation)."""
-        if self.compiled is None:
-            return False
-        for tid, steps in self.steps.items():
-            ct = self.compiled.get(tid)
-            if ct is None or ct.src_len != len(steps):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +301,7 @@ class Simulator:
         # replay context
         self._replay_plan: Optional[ReplayPlan] = None
 
-        # fast-interpreter state (armed by _setup_fast)
-        self._fast = False
+        # replay-interpreter state (armed by _setup_fast)
         self._fh: Optional[list] = None
         self._cost_rows: Optional[tuple] = None
         self._ev_list: Optional[list] = None
@@ -351,34 +331,20 @@ class Simulator:
         behavior = LiveBehavior(program.main(ctx), perturb=self.perturb)
         return self._run(behavior, ctx=ctx, program_name=program.name)
 
-    def run_replay(
-        self, plan: ReplayPlan, *, replay_engine: Optional[str] = None
-    ) -> SimulationResult:
+    def run_replay(self, plan: ReplayPlan) -> SimulationResult:
         """Replay a compiled trace (the paper's prediction run).
 
-        ``replay_engine`` selects the interpreter: ``"fast"`` (default)
-        replays the plan's :class:`CompiledThread` arrays through the
-        opcode interpreter, ``"legacy"`` walks the original ``Step``
-        objects.  Unset, the ``VPPB_REPLAY`` environment variable decides
-        (defaulting to fast).  Both produce bit-identical results; the
-        fast path silently falls back to legacy when the plan did not
-        lower (op outside the vocabulary, mutated steps) or a probe is
-        attached (probe overhead bookkeeping needs the object path).
+        The plan's :class:`CompiledThread` arrays run through the opcode
+        interpreter.  A replay carries no probe: the Recorder records
+        live programs (:meth:`run_program`).
         """
+        if self.probe is not None:
+            raise SimulationError("a replay cannot carry a probe")
         self._replay_plan = plan
         if int(MAIN_THREAD_ID) not in plan.steps:
             raise SimulationError("replay plan lacks the main thread (tid 1)")
-        mode = replay_engine or os.environ.get("VPPB_REPLAY") or "fast"
-        if mode not in ("fast", "legacy"):
-            raise SimulationError(
-                f"unknown replay engine {mode!r} (expected 'fast' or 'legacy')"
-            )
-        if mode == "fast" and self.probe is None and plan.fast_replayable():
-            self._setup_fast()
-            behavior: Optional[ThreadBehavior] = None
-        else:
-            behavior = ReplayBehavior(plan.steps[int(MAIN_THREAD_ID)])
-        return self._run(behavior, ctx=None, program_name=plan.program_name)
+        self._setup_fast()
+        return self._run(None, ctx=None, program_name=plan.program_name)
 
     # ==================================================================
     # run loop
@@ -614,22 +580,21 @@ class Simulator:
             self.scheduler.end_atomic()
 
     # ==================================================================
-    # fast replay interpreter
+    # replay interpreter (the fast path)
     # ==================================================================
     #
-    # The fast path replaces the two SchedulerListener entry points with
+    # A replay replaces the two SchedulerListener entry points with
     # interpreter loops over the plan's CompiledThread arrays: small-int
     # opcode dispatch through a per-run pre-bound copy of ``_HANDLERS``,
     # per-step costs read from a precomputed row, and the probe/record
-    # plumbing (always dead during prediction — probes only exist while
-    # recording) removed instead of re-checked per event.  Both
-    # interpreters run the same ``_h_*`` handlers: here ``need_step`` and
+    # plumbing (dead during prediction — probes only exist while
+    # recording) removed instead of re-checked per event.  Live programs
+    # and replays run the same ``_h_*`` handlers: here ``need_step`` and
     # ``_complete_now`` are shadowed by their fast versions, ``rt.cur_sync``
     # comes from the slots resolved once per run, and ``_emit_record``
     # no-ops without a probe.
 
     def _setup_fast(self) -> None:
-        self._fast = True
         self._fh = [h.__get__(self) for h in self._HANDLERS.values()]
         op_cost = self.config.costs.op_cost
         # cost rows indexed by CompiledThread.prims: row 0 = unbound
@@ -660,7 +625,7 @@ class Simulator:
         the run's binding policy *after* spawn, and boundness picks the
         cost row.
         """
-        assert self._replay_plan is not None and self._replay_plan.compiled is not None
+        assert self._replay_plan is not None
         ct = self._replay_plan.compiled[int(thread.tid)]
         rt.c_codes = ct.codes
         rt.c_works = ct.works
@@ -1227,9 +1192,7 @@ class Simulator:
             if tid not in self._replay_plan.steps:
                 raise SimulationError(f"replay plan has no steps for T{tid}")
             meta = self._replay_plan.meta.get(tid, ReplayThreadMeta(tid))
-            behavior: Optional[ThreadBehavior] = (
-                None if self._fast else ReplayBehavior(self._replay_plan.steps[tid])
-            )
+            behavior: Optional[ThreadBehavior] = None
             func_name = meta.func_name
             bound = op.bound or meta.bound
             ctx = None

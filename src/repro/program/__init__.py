@@ -6,12 +6,11 @@ exported here; the executors live in :mod:`repro.program.uniexec` and
 simulator core, which itself consumes this package's op vocabulary).
 """
 
-from repro.program.behavior import LiveBehavior, ReplayBehavior, Step, ThreadBehavior
+from repro.program.behavior import LiveBehavior, Step, ThreadBehavior
 from repro.program.program import Program, ThreadCtx, barrier
 
 __all__ = [
     "LiveBehavior",
-    "ReplayBehavior",
     "Step",
     "ThreadBehavior",
     "Program",

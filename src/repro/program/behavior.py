@@ -1,19 +1,20 @@
 """Thread behaviours: where the Simulator gets each thread's next step.
 
 The Simulator executes threads as a sequence of *steps*: a CPU burst
-followed by one thread-library operation.  A :class:`ThreadBehavior`
-produces those steps.  Two implementations exist, and they are the crux of
-the reproduction (see DESIGN.md §5):
+followed by one thread-library operation.  Two sources of steps exist, and
+they are the crux of the reproduction (see DESIGN.md §5):
 
-* :class:`LiveBehavior` drives a program generator.  It folds consecutive
+* :class:`LiveBehavior`, the :class:`ThreadBehavior` of a live program,
+  drives a program generator.  It folds consecutive
   :class:`~repro.program.ops.Compute` yields into the step's work and
   captures the generator's current source line for each op — the analogue
   of the Recorder saving the ``%i7`` return address.  Live behaviour is
   schedule-dependent: the generator reads shared state when resumed.
 
-* :class:`ReplayBehavior` replays a fixed step list compiled from a
-  recorded trace by :mod:`repro.core.predictor`, implementing the paper's
-  deterministic replay (§3.2).
+* a recorded trace, compiled by :mod:`repro.core.predictor` into a
+  :class:`~repro.core.simulator.ReplayPlan` of fixed step lists, which the
+  Simulator's replay interpreter runs: the paper's deterministic replay
+  (§3.2).
 
 The protocol: ``next_step(result)`` receives the outcome of the previous
 operation (e.g. a trylock's success, a created thread's id) and returns the
@@ -24,14 +25,14 @@ explicit ``thr_exit`` (the caller then synthesises one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 from repro.core.errors import ProgramError
 from repro.core.events import SourceLocation
 from repro.program.ops import Compute, Op, Resched, ThrExit
 from repro.program.program import ThreadGen
 
-__all__ = ["Step", "ThreadBehavior", "LiveBehavior", "ReplayBehavior"]
+__all__ = ["Step", "ThreadBehavior", "LiveBehavior"]
 
 
 @dataclass(slots=True)
@@ -131,25 +132,3 @@ class LiveBehavior:
         return SourceLocation(
             file=code.co_filename, line=frame.f_lineno, function=code.co_name
         )
-
-
-class ReplayBehavior:
-    """Replays a pre-compiled step list (trace-driven prediction)."""
-
-    def __init__(self, steps: Sequence[Step]):
-        self._steps: List[Step] = list(steps)
-        self._pos = 0
-
-    def next_step(self, result: object) -> Optional[Step]:
-        if self._pos >= len(self._steps):
-            return None
-        step = self._steps[self._pos]
-        self._pos += 1
-        return step
-
-    @property
-    def remaining(self) -> int:
-        return len(self._steps) - self._pos
-
-    def __len__(self) -> int:
-        return len(self._steps)

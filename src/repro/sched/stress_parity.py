@@ -18,8 +18,7 @@ whatever its policy:
   ``(tid, primitive, object, status)`` is identical across backends:
   policy moves events in time, never invents or loses them;
 * **deterministic replay** — running a cell twice produces equal
-  results, and the compiled fast path stays bit-identical to the
-  legacy walker *per backend*;
+  results under every backend;
 * **graceful degradation** — a wakeup-dropped trace must come back as
   a diagnosed partial result (deadlock detection fires) under every
   backend, never complete and never crash.
@@ -80,8 +79,8 @@ def _event_multiset(result) -> Dict[Tuple, int]:
     return counts
 
 
-def _replay(plan: ReplayPlan, config: SimConfig, engine: str):
-    return Simulator(config, strict=False).run_replay(plan, replay_engine=engine)
+def _replay(plan: ReplayPlan, config: SimConfig):
+    return Simulator(config, strict=False).run_replay(plan)
 
 
 def _check_cell(
@@ -99,39 +98,34 @@ def _check_cell(
     for backend in backends:
         config = SimConfig(cpus=cpus, scheduler=backend)
         cell = f"{name}/{cpus}cpu/{backend}"
-        legacy = _replay(plan, config, "legacy")
-        fast = _replay(plan, config, "fast")
-        again = _replay(plan, config, "fast")
-        if fast != legacy:
-            report.fail(f"{cell}: fast replay diverged from legacy")
-            continue
-        if fast != again:
+        result = _replay(plan, config)
+        if result != _replay(plan, config):
             report.fail(f"{cell}: replay is not deterministic")
             continue
-        results[backend] = fast
+        results[backend] = result
 
-        if expect_complete and fast.incomplete:
+        if expect_complete and result.incomplete:
             report.fail(
                 f"{cell}: lost wakeup — complete trace came back "
-                f"{fast.status.value} ({fast.incompleteness.reason})"
+                f"{result.status.value} ({result.incompleteness.reason})"
             )
-        if not expect_complete and not fast.incomplete:
+        if not expect_complete and not result.incomplete:
             report.fail(
                 f"{cell}: wakeup-dropped trace replayed to completion "
                 "(deadlock detection did not fire)"
             )
 
-        busy = fast.total_cpu_time_us()
-        work = sum(s.work_us for s in fast.summaries.values())
+        busy = result.total_cpu_time_us()
+        work = sum(s.work_us for s in result.summaries.values())
         if busy != work:
             report.fail(
                 f"{cell}: CPU time not conserved — machine busy {busy}us "
                 f"vs thread work {work}us"
             )
-        if busy > fast.makespan_us * cpus:
+        if busy > result.makespan_us * cpus:
             report.fail(
                 f"{cell}: busy time {busy}us exceeds the machine "
-                f"({fast.makespan_us}us x {cpus} CPUs)"
+                f"({result.makespan_us}us x {cpus} CPUs)"
             )
 
     if len(results) < 2:

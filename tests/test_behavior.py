@@ -1,10 +1,10 @@
-"""Unit tests for thread behaviours (Step, LiveBehavior, ReplayBehavior)."""
+"""Unit tests for thread behaviours (Step, LiveBehavior)."""
 
 import pytest
 
 from repro.core.errors import ProgramError
 from repro.program import ops as op
-from repro.program.behavior import LiveBehavior, ReplayBehavior, Step
+from repro.program.behavior import LiveBehavior, Step
 
 
 class TestStep:
@@ -121,28 +121,3 @@ class TestLiveBehavior:
         assert step.work_us == LiveBehavior.MAX_COMPUTE_FOLD
         again = b.next_step(None)
         assert isinstance(again.op, op.Resched)
-
-
-class TestReplayBehavior:
-    def test_replays_in_order(self):
-        steps = [Step(1, op.MutexLock("m")), Step(2, op.MutexUnlock("m"))]
-        b = ReplayBehavior(steps)
-        assert b.next_step(None).work_us == 1
-        assert b.next_step(None).work_us == 2
-        assert b.next_step(None) is None
-
-    def test_ignores_results(self):
-        b = ReplayBehavior([Step(1, op.ThrExit())])
-        assert b.next_step("whatever").work_us == 1
-
-    def test_remaining_and_len(self):
-        b = ReplayBehavior([Step(1, op.ThrExit())])
-        assert len(b) == 1 and b.remaining == 1
-        b.next_step(None)
-        assert b.remaining == 0
-
-    def test_copy_isolated_from_source_list(self):
-        steps = [Step(1, op.ThrExit())]
-        b = ReplayBehavior(steps)
-        steps.clear()
-        assert b.next_step(None) is not None

@@ -3,8 +3,7 @@
 Four layers: the happens-before severity tiers on synthetic logs (the
 Eraser false positive is gone, the mutex hand-off downgrade works, true
 races stay errors), witness synthesis + replay (every HB-confirmed
-hazard replays to its claimed outcome, fast and legacy replay engines
-agree bit-for-bit), the ``--whatif`` grid (manifestation tagging,
+hazard replays to its claimed outcome), the ``--whatif`` grid (manifestation tagging,
 ResultCache reuse, metrics), and the user surfaces (CLI baseline and
 salvage flows, the HTTP ``/lint`` endpoint on both front ends).
 """
@@ -24,7 +23,6 @@ from repro.analysis.lint import (
     run_lint,
     whatif_lint,
 )
-from repro.analysis.lint.predictive import lint_probe_context, probe_trace
 from repro.cli import main as cli_main
 from repro.jobs import (
     JobEngine,
@@ -189,28 +187,6 @@ class TestWitnessReplay:
 
     def test_unknown_digest_resolves_to_none(self, racy_report):
         assert find_witness(racy_report, "ffffffffffff") is None
-
-    def test_fast_and_legacy_replay_agree(self, monkeypatch):
-        # the witness verdict and the probe payload must not depend on
-        # which replay interpreter ran
-        trace = logfile.loads(_OVERLAP_RACE)
-        report = run_lint(trace)
-        digest = report.by_rule("VPPB-R001")[0].witness["digest"]
-        witness = find_witness(report, digest)
-        manifest = SweepManifest.from_dict({"trace": "x.log", "cpus": [1, 2]})
-        cells = list(manifest.configs(trace))
-        outcomes = {}
-        for engine_mode in ("fast", "legacy"):
-            monkeypatch.setenv("VPPB_REPLAY", engine_mode)
-            replay = replay_witness(trace, witness)
-            probes = [probe_trace(trace, c.config) for c in cells]
-            outcomes[engine_mode] = (
-                replay.exhibited,
-                replay.status,
-                replay.detail,
-                probes,
-            )
-        assert outcomes["fast"] == outcomes["legacy"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Cross-backend parity harness + scheduler-axis plumbing tests.
 
 Covers the :mod:`repro.sched.stress_parity` invariant harness, the
-Solaris bit-identity regression under both replay engines and the
-``VPPB_REPLAY`` switch, and the scheduler axis through manifests,
-batch reports and engine metrics.
+Solaris bit-identity regression, and the scheduler axis through
+manifests, batch reports and engine metrics.
 """
 
 import json
@@ -47,7 +46,7 @@ class TestStressHarness:
 
 class TestSolarisBitIdentity:
     """The default backend is the extracted policy: its predictions are
-    the pre-refactor scheduler's, under both replay engines."""
+    the pre-refactor scheduler's."""
 
     def test_explicit_solaris_equals_default(self, prodcons_plan):
         config = SimConfig(cpus=4)
@@ -56,15 +55,6 @@ class TestSolarisBitIdentity:
         explicit_res = Simulator(explicit).run_replay(prodcons_plan)
         assert default_res.makespan_us == explicit_res.makespan_us
         assert default_res.events == explicit_res.events
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_env_legacy_matches_fast(self, prodcons_plan, scheduler, monkeypatch):
-        config = SimConfig(cpus=2, scheduler=scheduler)
-        monkeypatch.setenv("VPPB_REPLAY", "legacy")
-        legacy = Simulator(config).run_replay(prodcons_plan)
-        monkeypatch.setenv("VPPB_REPLAY", "fast")
-        fast = Simulator(config).run_replay(prodcons_plan)
-        assert legacy == fast
 
 
 class TestManifestSchedulerAxis:

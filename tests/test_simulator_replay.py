@@ -33,6 +33,15 @@ class TestHandAuthoredPlans:
         with pytest.raises(SimulationError):
             run_plan({4: [Step(0, op.ThrExit())]})
 
+    def test_probe_on_replay_rejected(self):
+        from repro.core.errors import SimulationError
+        from repro.recorder.recorder import Recorder
+
+        plan = ReplayPlan(steps={1: [Step(100, op.ThrExit())]}, meta={})
+        sim = Simulator(SimConfig(cpus=1), probe=Recorder("a.out"))
+        with pytest.raises(SimulationError, match="cannot carry a probe"):
+            sim.run_replay(plan)
+
     def test_create_spawns_replay_thread(self):
         res = run_plan(
             {
