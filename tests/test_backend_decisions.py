@@ -1,14 +1,19 @@
-"""Backend decisions on paths no recorded trace reaches.
+"""Backend decisions, pinned as timelines on hand-built LWPs.
 
-Under ``cfs`` and ``clutch`` a recorded time-sharing LWP never leaves
-kernel priority 29: only the Solaris backend ages priorities.  So every
-replayed fair CFS LWP weighs 1024 and every Clutch TS LWP sits in the DF
-bucket, and no recorded trace exercises mixed CFS weights, the other
-Clutch buckets or warp.  These tests drive the scheduler mechanism
-directly with hand-built LWPs of chosen ``kernel_priority``, ``rt`` and
-``bound_cpu`` and pin what the backends decide: which LWP lands on which
-CPU after a dispatch pass, which running LWP is preempted, the slice
-each placement is granted, and whether an LWP yields on expiry.
+These tests drive the scheduler mechanism directly with hand-built LWPs
+of chosen ``rt``, ``kernel_priority`` and ``bound_cpu`` and pin what the
+backends decide: which LWP lands on which CPU after a dispatch pass,
+which running LWP is preempted, the slice each placement is granted, and
+whether an LWP yields on expiry.  The scenarios set up states a replay
+reaches only by chance: a pinned candidate behind a busy CPU while
+another CPU idles, a fair sleeper returning with bounded credit, RT LWPs
+of several priorities arriving while timeshare LWPs round-robin.
+
+As in every replay, a time-sharing LWP under ``cfs`` and ``clutch``
+stays at the dispatch table's initial level, 29: those backends run
+every fair LWP at one weight and every timeshare LWP in one bucket
+(``tests/test_sched_backends.py::TestTimeshareLevel`` checks that
+premise on replays).  Only the Solaris scenario sets a TS priority.
 
 Each scenario is recorded as a timeline: one entry per instant at which
 the occupancy of the CPUs or an armed quantum expiry changed, written
@@ -137,87 +142,55 @@ class Rig:
 
 
 # ---------------------------------------------------------------------------
-# CFS: mixed weights and the RT class
+# CFS: the RT class above fair LWPs, and a returning sleeper
 # ---------------------------------------------------------------------------
 
 
-def cfs_mixed_weights() -> Rig:
-    """Priorities 29 and 0 run; 59 arrives and wake-preempts the
-    light LWP; an RT LWP then displaces a fair one; a sleeper returns
-    with bounded credit."""
+def cfs_rt_and_sleeper() -> Rig:
+    """Two fair LWPs run; a third arrives and their slices shrink; an
+    RT LWP then displaces a fair one and runs until it blocks; a fair
+    sleeper returns with bounded credit and wake-preempts."""
     rig = Rig("cfs", 2)
-    rig.add("A", priority=29)
-    rig.add("B", priority=0)
+    rig.add("A")
+    rig.add("B")
     rig.run_until(3_000)
-    rig.add("C", priority=59)
+    rig.add("C")
     rig.run_until(3_500)
     rig.add("R", rt=True, priority=10)
     rig.run_until(9_000)
     rig.block("R")
     rig.run_until(12_000)
-    rig.block("C")
+    sleeper = rig.block_on(1)
     rig.run_until(30_000)
-    rig.wake("C")
+    rig.wake(sleeper)
     rig.run_until(45_000)
     return rig
 
 
-CFS_MIXED_WEIGHTS = [
+CFS_RT_AND_SLEEPER = [
     "0: A@~ -",
     "0: A@~ B@~",
-    "3000: A@3750 C@6000",
-    "3500: R@103500 C@5000",
-    "5000: R@103500 C@7000",
-    "7000: R@103500 C@9000",
-    "9000: R@103500 C@11000",
-    "9000: A@12000 C@11000",
-    "11000: A@12000 C@14000",
-    "12000: A@15000 C@14000",
-    "12000: A@15000 B@~",
-    "15000: A@~ B@~",
-    "30000: A@30750 C@33000",
-    "30750: A@33750 C@33000",
-    "33000: A@33750 C@36000",
-    "33750: A@36750 C@36000",
-    "36000: A@36750 C@39000",
-    "36750: A@39750 C@39000",
-    "39000: A@39750 C@42000",
+    "3000: A@3750 B@3750",
+    "3500: R@103500 B@3750",
+    "3750: R@103500 C@5750",
+    "5750: R@103500 A@7750",
+    "7750: R@103500 B@9750",
+    "9000: C@12000 B@9750",
+    "9750: C@12000 A@12750",
+    "12000: B@15000 A@12750",
+    "12000: B@15000 C@~",
+    "15000: B@~ C@~",
+    "30000: B@30750 A@33000",
+    "30750: B@33750 A@33000",
+    "33000: B@33750 A@36000",
+    "33750: C@36750 A@36000",
+    "36000: C@36750 A@39000",
+    "36750: B@39750 A@39000",
+    "39000: B@39750 C@42000",
     "39750: A@42750 C@42000",
-    "42000: A@42750 C@45000",
-    "42750: A@45750 C@45000",
-    "45000: A@45750 C@48000",
-]
-
-
-def cfs_heavy_behind_light() -> Rig:
-    """A light sleeper K queues ahead of a heavy newcomer J (lower
-    vruntime), and K's wide wakeup granularity keeps it from
-    preempting; J's narrow one lets it displace the LWP furthest
-    ahead, although K, searched first, could not."""
-    rig = Rig("cfs", 2)
-    rig.add("A")
-    rig.add("K", priority=10)
-    rig.run_until(100)
-    rig.block("K")
-    rig.run_until(500)
-    rig.add("B", priority=30)
-    rig.run_until(3_000)
-    with rig.atomic():
-        rig.wake("K")
-        rig.add("J", priority=50)
-    rig.run_until(8_000)
-    return rig
-
-
-CFS_HEAVY_BEHIND_LIGHT = [
-    "0: A@~ -",
-    "0: A@~ K@~",
-    "100: A@~ -",
-    "500: A@~ B@~",
-    "3000: J@5000 B@3750",
-    "3750: J@5000 K@5750",
-    "5000: J@7000 A@7000",
-    "7000: J@9000 B@9000",
+    "42000: A@42750 B@45000",
+    "42750: C@45750 B@45000",
+    "45000: C@45750 A@48000",
 ]
 
 
@@ -230,8 +203,7 @@ def pinned_behind_busy_cpu(scheduler: str) -> Rig:
     """X runs pinned to CPU 0.  A higher-class Y pinned to CPU 0 arrives
     while CPU 1 idles: Y may only displace X.  An unbound U then takes
     the idle CPU, and a second fair Z pinned to CPU 0 queues behind."""
-    high = {"solaris": dict(priority=59), "cfs": dict(rt=True, priority=5),
-            "clutch": dict(priority=50)}[scheduler]
+    high = dict(priority=59) if scheduler == "solaris" else dict(rt=True, priority=5)
     rig = Rig(scheduler, 2)
     rig.add("X", cpu=0)
     rig.run_until(5_000)
@@ -258,19 +230,9 @@ PINNED_BEHIND_BUSY_CPU = {
     ],
     "clutch": [
         "0: X@~ -",
-        "5000: Y@15000 -",
-        "5000: Y@15000 U@~",
-        "15000: Y@25000 U@~",
-        "25000: Y@35000 U@~",
-        "35000: Y@45000 U@~",
-        "45000: Y@55000 U@~",
-        "55000: Y@65000 U@~",
-        "65000: Y@75000 U@~",
-        "75000: Y@85000 U@~",
-        "85000: X@91000 U@~",
-        "91000: Z@97000 U@~",
-        "97000: X@103000 U@~",
-    ],
+        "5000: Y@105000 -",
+        "5000: Y@105000 U@~",
+        ],
 }
 
 
@@ -339,108 +301,58 @@ CFS_PINNED_SLICES = [
 
 
 # ---------------------------------------------------------------------------
-# Clutch: buckets, warp and timeshare decay over several selections
+# Clutch: FIXPRI above the timeshare bucket
 # ---------------------------------------------------------------------------
 
 
-def clutch_warp() -> Rig:
-    """Two DF LWPs round-robin on one CPU.  After the DF deadline has
-    passed, an FG LWP arrives in the same operation that frees the CPU:
-    it warps ahead of the earlier DF deadline and runs.  With its budget
-    spent it no longer warps when it next returns; an IN LWP still can."""
-    rig = Rig("clutch", 1)
-    rig.add("D1")
-    rig.add("D2")
-    rig.run_until(80_000)
-    with rig.atomic():
-        first = rig.block_on(0)
-        rig.add("F", priority=50)
-    rig.run_until(95_000)
-    with rig.atomic():
-        rig.block_on(0)
-        rig.wake(first)
-    rig.run_until(120_000)
-    with rig.atomic():
-        rig.block_on(0)
-        rig.wake("F")
-        rig.add("I", priority=40)
-    rig.run_until(150_000)
-    return rig
-
-
-CLUTCH_WARP = [
-    "0: D1@~",
-    "0: D1@6000",
-    "6000: D2@12000",
-    "12000: D1@18000",
-    "18000: D2@24000",
-    "24000: D1@30000",
-    "30000: D2@36000",
-    "36000: D1@42000",
-    "42000: D2@48000",
-    "48000: D1@54000",
-    "54000: D2@60000",
-    "60000: D1@66000",
-    "66000: D2@72000",
-    "72000: D1@78000",
-    "78000: D2@84000",
-    "80000: -",
-    "80000: F@90000",
-    "90000: F@100000",
-    "95000: -",
-    "95000: D1@101000",
-    "101000: D2@107000",
-    "107000: D1@113000",
-    "113000: D2@119000",
-    "119000: D1@125000",
-    "120000: -",
-    "120000: F@130000",
-    "130000: F@140000",
-    "140000: F@150000",
-    "150000: F@160000",
-]
-
-
-def clutch_buckets_two_cpus() -> Rig:
-    """Every share bucket plus FIXPRI on two CPUs."""
+def clutch_fixpri_over_timeshare() -> Rig:
+    """Three timeshare LWPs round-robin on two CPUs.  RT 10 displaces
+    one of them and RT 20 the other; RT 5 waits until RT 20 blocks, and
+    round-robin resumes once both RT LWPs have blocked."""
     rig = Rig("clutch", 2)
-    rig.add("B", priority=5)
-    rig.add("U", priority=15)
-    rig.run_until(10_000)
-    rig.add("D", priority=29)
-    rig.add("I", priority=40)
-    rig.run_until(50_000)
-    rig.add("F", priority=55)
-    rig.add("R", rt=True, priority=20)
-    rig.run_until(120_000)
+    rig.add("T1")
+    rig.add("T2")
+    rig.add("T3")
+    rig.run_until(20_000)
+    rig.add("R10", rt=True, priority=10)
+    rig.run_until(25_000)
+    rig.add("R20", rt=True, priority=20)
+    rig.run_until(30_000)
+    rig.add("R5", rt=True, priority=5)
+    rig.run_until(40_000)
+    rig.block("R20")
+    rig.run_until(60_000)
+    rig.block("R10")
+    rig.run_until(70_000)
+    rig.block("R5")
+    rig.run_until(90_000)
     return rig
 
 
-CLUTCH_BUCKETS_TWO_CPUS = [
-    "0: B@~ -",
-    "0: B@~ U@~",
-    "10000: D@16000 U@11000",
-    "10000: D@16000 I@18000",
-    "16000: D@22000 I@18000",
-    "18000: D@22000 I@26000",
-    "22000: D@28000 I@26000",
-    "26000: D@28000 I@34000",
-    "28000: D@34000 I@34000",
-    "34000: D@34000 I@42000",
-    "34000: D@40000 I@42000",
-    "40000: D@46000 I@42000",
-    "42000: D@46000 I@50000",
-    "46000: D@52000 I@50000",
-    "50000: D@52000 I@58000",
-    "50000: F@60000 I@58000",
-    "50000: F@60000 R@150000",
-    "60000: F@70000 R@150000",
-    "70000: F@80000 R@150000",
-    "80000: F@90000 R@150000",
-    "90000: F@100000 R@150000",
-    "100000: F@110000 R@150000",
-    "110000: F@120000 R@150000",
-    "120000: F@130000 R@150000",
+CLUTCH_FIXPRI_OVER_TIMESHARE = [
+    "0: T1@~ -",
+    "0: T1@~ T2@~",
+    "0: T1@6000 T2@6000",
+    "6000: T3@12000 T2@6000",
+    "6000: T3@12000 T1@12000",
+    "12000: T2@18000 T1@12000",
+    "12000: T2@18000 T3@18000",
+    "18000: T1@24000 T3@18000",
+    "18000: T1@24000 T2@24000",
+    "20000: R10@120000 T2@24000",
+    "24000: R10@120000 T3@30000",
+    "25000: R10@120000 R20@125000",
+    "40000: R10@120000 R5@140000",
+    "60000: T1@66000 R5@140000",
+    "66000: T3@72000 R5@140000",
+    "70000: T3@72000 T2@76000",
+    "72000: T1@78000 T2@76000",
+    "76000: T1@78000 T3@82000",
+    "78000: T2@84000 T3@82000",
+    "82000: T2@84000 T1@88000",
+    "84000: T3@90000 T1@88000",
+    "88000: T3@90000 T2@94000",
+    "90000: T1@96000 T2@94000",
 ]
 
 
@@ -448,11 +360,8 @@ CLUTCH_BUCKETS_TWO_CPUS = [
 
 
 class TestCfsDecisions:
-    def test_mixed_weights_and_rt(self):
-        assert cfs_mixed_weights().timeline == CFS_MIXED_WEIGHTS
-
-    def test_heavy_candidate_behind_a_light_one(self):
-        assert cfs_heavy_behind_light().timeline == CFS_HEAVY_BEHIND_LIGHT
+    def test_rt_displaces_fair_then_sleeper_returns(self):
+        assert cfs_rt_and_sleeper().timeline == CFS_RT_AND_SLEEPER
 
     def test_pinned_sleeper_preempts_while_other_cpu_idles(self):
         assert cfs_pinned_sleeper().timeline == CFS_PINNED_SLEEPER
@@ -468,17 +377,14 @@ class TestPinnedCandidates:
 
 
 class TestClutchDecisions:
-    def test_warp_over_several_selections(self):
-        assert clutch_warp().timeline == CLUTCH_WARP
-
-    def test_every_bucket_on_two_cpus(self):
-        assert clutch_buckets_two_cpus().timeline == CLUTCH_BUCKETS_TWO_CPUS
+    def test_fixpri_over_timeshare_on_two_cpus(self):
+        assert clutch_fixpri_over_timeshare().timeline == CLUTCH_FIXPRI_OVER_TIMESHARE
 
 
 if __name__ == "__main__":
     # print every scenario's timeline (to re-pin after a deliberate change)
-    for fn in (cfs_mixed_weights, cfs_heavy_behind_light, cfs_pinned_sleeper,
-               cfs_pinned_slices, clutch_warp, clutch_buckets_two_cpus):
+    for fn in (cfs_rt_and_sleeper, cfs_pinned_sleeper, cfs_pinned_slices,
+               clutch_fixpri_over_timeshare):
         print(fn.__name__, fn().timeline)
     for s in sorted(PINNED_BEHIND_BUSY_CPU):
         print("pinned", s, pinned_behind_busy_cpu(s).timeline)
