@@ -6,10 +6,11 @@ prediction sweep into a cross-OS study.  Backends:
 
 * ``"solaris"`` — the paper's two-level Solaris 2.5 TS/RT model (the
   default; bit-identical to the original hard-wired scheduler);
-* ``"clutch"`` — XNU-Clutch-style EDF root buckets with warp budgets
-  and timeshare decay;
-* ``"cfs"`` — Linux-CFS-style vruntime fairness with min-granularity
-  slicing and wake-preemption.
+* ``"clutch"`` — XNU-Clutch-style: RT LWPs in FIXPRI above one
+  timeshare bucket ordered by decayed CPU use;
+* ``"cfs"`` — Linux-CFS-style vruntime fairness at nice 0 with
+  latency-window slicing, sleeper fairness and wake-preemption, below
+  an RT class.
 
 See :mod:`repro.sched.base` for the backend contract and
 ``docs/schedulers.md`` for each model's semantics.  The stress/parity

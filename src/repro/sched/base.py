@@ -15,11 +15,11 @@ contract (see ``docs/schedulers.md`` for the full semantics):
     An LWP is entering the kernel run queue because its thread woke (or
     was just created).  ``boost`` is True for sleep/block returns.  The
     backend adjusts placement state (Solaris: *slpret* priority lift;
-    CFS: sleeper-fairness vruntime placement).
+    CFS: sleeper-fairness vruntime placement).  Default: nothing.
 ``sched_tick(runnable, now)``
     Run-queue maintenance, called at the top of every dispatch pass
-    over the current runnable list (Solaris: starvation lifts; Clutch:
-    root-bucket deadline refresh).
+    over the current runnable list (Solaris: starvation lifts).
+    Default: nothing.
 ``thread_select(runnable)``
     Order the runnable LWPs into dispatch preference, best first.  May
     sort in place; must return a total, deterministic order (ties by
@@ -37,7 +37,9 @@ contract (see ``docs/schedulers.md`` for the full semantics):
     this pass's ``thread_select`` order in which every CPU each
     candidate may run on (its ``bound_cpu``, else all) is busy.  Return
     ``(lwp, cpu)`` for the first candidate that preempts the LWP running
-    on ``cpu``, or None to keep them all queued.
+    on ``cpu``, or None to keep them all queued.  CFS and Clutch put an
+    RT class above their fair/timeshare LWPs and share its search,
+    :func:`rt_victim`.
 
 Backends may additionally define ``on_dispatch(lwp)`` /
 ``on_deschedule(lwp)`` hooks (not present on the base class): the
@@ -45,7 +47,8 @@ mechanism calls them when an LWP goes on / comes off a processor, which
 is where usage-driven policies (CFS vruntime, Clutch timeshare decay)
 account CPU time.  ``on_enqueue(lwp)`` / ``on_dequeue(lwp)`` fire when
 an LWP joins / leaves the run queue (``enqueue_seq`` is already final),
-for a backend that keeps its own ordered queue or contender counts.
+for a backend that keeps its own ordered queue and contender counts
+(CFS).
 ``on_contention(runnable)`` fires when a dispatch pass ends with
 runnable LWPs still queued (no idle CPU, no preemption): tickless
 backends use it to re-arm the tick via :meth:`Scheduler.retick` — the
@@ -71,7 +74,7 @@ addressed result cache keyed on ``(trace, config, backend name+version)``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solaris.lwp import SimLwp
@@ -84,6 +87,7 @@ __all__ = [
     "create_backend",
     "available_backends",
     "backend_version",
+    "rt_victim",
 ]
 
 #: the "slice" granted by a tickless backend when no compatible
@@ -119,7 +123,8 @@ class SchedulerBackend:
     # -- policy hooks ---------------------------------------------------
 
     def thread_setrun(self, lwp: "SimLwp", boost: bool) -> None:
-        raise NotImplementedError
+        """Placement state for an LWP entering the run queue; default:
+        none."""
 
     def sched_tick(self, runnable: "List[SimLwp]", now: int) -> None:
         """Run-queue maintenance; default: none."""
@@ -140,6 +145,27 @@ class SchedulerBackend:
         self, candidates: "List[SimLwp]"
     ) -> "Optional[Tuple[SimLwp, SimCpu]]":
         raise NotImplementedError
+
+
+def rt_victim(lwp: "SimLwp", cpus: "Sequence[SimCpu]") -> "Optional[SimCpu]":
+    """The CPU an RT candidate preempts when an RT class sits above a
+    fair or timeshare class (CFS, Clutch's FIXPRI): the first CPU, in
+    CPU order, running a non-RT LWP, else the first one running the
+    lowest RT priority strictly below the candidate's, else None.  A
+    pinned candidate searches only its own CPU.  Every CPU searched is
+    busy (the dispatch pass hands over only such candidates)."""
+    pin = lwp.bound_cpu
+    victim = None
+    victim_pri = lwp.kernel_priority
+    for cpu in cpus if pin is None else (cpus[pin],):
+        running = cpu.lwp
+        assert running is not None
+        if not running.rt:
+            return cpu
+        if running.kernel_priority < victim_pri:
+            victim_pri = running.kernel_priority
+            victim = cpu
+    return victim
 
 
 # ---------------------------------------------------------------------------

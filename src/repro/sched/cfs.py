@@ -1,15 +1,13 @@
 """A CFS-style scheduler backend (Linux's Completely Fair Scheduler).
 
 Fair-class LWPs are ordered by **virtual runtime**: every µs an LWP
-spends on a processor advances its vruntime by ``1024 / weight`` µs, so
-lighter (lower-priority) LWPs age faster and the one with the smallest
-vruntime always runs next.  The model follows the kernel's design:
+spends on a processor advances its vruntime by one µs, and the one
+with the smallest vruntime always runs next.  Every fair LWP runs at
+nice 0 (load weight 1024): a Solaris trace carries no nice value, and a
+replayed time-sharing LWP never leaves its initial priority (only the
+Solaris backend ages priorities), so there is no other weight to give
+it.  The model follows the kernel's design:
 
-* **weights** come from the standard ``prio_to_weight`` table.  The
-  recorded Solaris TS priority (0..59, 29 default) maps linearly onto
-  nice +19..-20, with priority 29 landing on nice 0 (weight 1024), so
-  traces recorded without priority manipulation replay at uniform
-  weight;
 * **slicing**: the granted slice is ``max(min_granularity, latency /
   nr)`` where ``nr`` counts the LWP itself plus the queued fair
   contenders that may run on its CPU — the scheduling latency window
@@ -25,8 +23,7 @@ vruntime always runs next.  The model follows the kernel's design:
   brand-new LWP starts at ``min_vruntime`` (no credit for being born);
 * **wake-preemption**: a waking LWP preempts the running LWP with the
   largest vruntime, but only when the victim trails by more than the
-  wakeup granularity (1 ms, scaled by the candidate's weight) —
-  hysteresis against preemption storms;
+  wakeup granularity (1 ms) — hysteresis against preemption storms;
 * on **expiry** the LWP is requeued whenever any compatible contender
   is queued (``check_preempt_tick``: exhausting the slice reschedules
   if the runqueue is non-empty);
@@ -41,8 +38,7 @@ are symmetric and whose affinity axis is per-thread binding), and
 vruntime lives on the LWP — under the two-level model the kernel
 schedules LWPs, so a pool LWP's vruntime follows the LWP, not the user
 thread it happens to carry.  All arithmetic is integer (vruntime in
-weighted µs, ``delta * 1024 // weight``); ties close by
-``enqueue_seq``; replay stays deterministic.
+µs); ties close by ``enqueue_seq``; replay stays deterministic.
 
 The queued fair LWPs are kept in ``(vruntime, enqueue_seq)`` order, a
 sorted list standing in for the kernel's rbtree, with counts of the
@@ -61,6 +57,7 @@ from repro.sched.base import (
     TICKLESS_SLICE_US,
     SchedulerBackend,
     register_backend,
+    rt_victim,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,38 +70,8 @@ __all__ = ["CfsBackend"]
 SCHED_LATENCY_US = 6_000
 #: slice floor under heavy contention (µs)
 MIN_GRANULARITY_US = 750
-#: wake-preemption hysteresis (µs, at nice-0 weight)
+#: wake-preemption hysteresis (µs)
 WAKEUP_GRANULARITY_US = 1_000
-
-#: nice-0 load weight; vruntime advances by ``delta * 1024 // weight``
-NICE_0_WEIGHT = 1024
-
-#: the kernel's prio_to_weight[] table, nice -20 .. +19
-WEIGHTS = (
-    88761, 71755, 56483, 46273, 36291,
-    29154, 23254, 18705, 14949, 11916,
-    9548, 7620, 6100, 4904, 3906,
-    3121, 2501, 1991, 1586, 1277,
-    1024, 820, 655, 526, 423,
-    335, 272, 215, 172, 137,
-    110, 87, 70, 56, 45,
-    36, 29, 23, 18, 15,
-)
-
-
-def _weight(lwp: "SimLwp") -> int:
-    """Load weight from the recorded TS priority (29 → nice 0)."""
-    nice = (29 - lwp.kernel_priority) * 2 // 3
-    if nice < -20:
-        nice = -20
-    elif nice > 19:
-        nice = 19
-    return WEIGHTS[nice + 20]
-
-
-#: the smallest wakeup granularity any weight gets, in vruntime: a fair
-#: candidate's preemption threshold is never below its vruntime plus this
-_MIN_GRAN_VR = WAKEUP_GRANULARITY_US * NICE_0_WEIGHT // max(WEIGHTS)
 
 
 @register_backend
@@ -116,12 +83,10 @@ class CfsBackend(SchedulerBackend):
 
     def bind(self, sched) -> None:
         super().bind(sched)
-        #: vruntime per LWP id (weighted µs)
+        #: vruntime per LWP id (µs)
         self._vruntime: Dict[LwpId, int] = {}
         #: dispatch/charge timestamp per ONPROC LWP id
         self._since_us: Dict[LwpId, int] = {}
-        #: load weight per LWP id, worked out when it is first queued
-        self._weight: Dict[LwpId, int] = {}
         #: monotonic floor of the queue's vruntime (wake placement)
         self._min_vruntime = 0
         #: the queued fair LWPs in (vruntime, enqueue_seq) order, and
@@ -152,7 +117,7 @@ class CfsBackend(SchedulerBackend):
         vr = self._vruntime[lid]
         since = self._since_us.get(lid)
         if since is not None and now > since:
-            vr += (now - since) * NICE_0_WEIGHT // self._weight[lid]
+            vr += now - since
         return vr
 
     def _charge(self, lwp: "SimLwp") -> None:
@@ -160,7 +125,7 @@ class CfsBackend(SchedulerBackend):
         now = self.sched.engine.now_us
         since = self._since_us.pop(lid, None)
         if since is not None and not lwp.rt:
-            vr = self._vruntime[lid] + (now - since) * NICE_0_WEIGHT // self._weight[lid]
+            vr = self._vruntime[lid] + now - since
             self._vruntime[lid] = vr
             if vr > self._min_vruntime:
                 # monotonic advance; lazily tightened in thread_setrun
@@ -198,8 +163,6 @@ class CfsBackend(SchedulerBackend):
         if lwp.rt:
             self._rt_queued += 1
             return
-        if lwp.lwp_id not in self._weight:
-            self._weight[lwp.lwp_id] = _weight(lwp)
         key = (self._vr(lwp), lwp.enqueue_seq)
         i = bisect_left(self._keys, key)
         self._keys.insert(i, key)
@@ -302,21 +265,10 @@ class CfsBackend(SchedulerBackend):
         fair_vr: "Optional[List[Optional[int]]]" = None
         worst = None
         for lwp in candidates:
-            pin = lwp.bound_cpu
             if lwp.rt:
-                # the RT class preempts any fair LWP, or a lower RT
-                # priority (first-lowest in CPU order)
-                victim_cpu: "Optional[SimCpu]" = None
-                best = (1, lwp.kernel_priority)  # (class, priority): fair < RT
-                for cpu in cpus if pin is None else (cpus[pin],):
-                    running = cpu.lwp
-                    assert running is not None
-                    key = (1, running.kernel_priority) if running.rt else (0, 0)
-                    if key < best:
-                        best = key
-                        victim_cpu = cpu
-                if victim_cpu is not None:
-                    return lwp, victim_cpu
+                cpu = rt_victim(lwp, cpus)
+                if cpu is not None:
+                    return lwp, cpu
                 continue
             # fair wake-preemption: displace the largest-vruntime fair
             # LWP (first in CPU order), with the wakeup-granularity
@@ -335,18 +287,16 @@ class CfsBackend(SchedulerBackend):
                     fair_vr.append(vr)
             if worst is None:
                 return None  # only RT runs, and no RT candidate is left
-            vr = self._vr(lwp)
-            top: int = fair_vr[worst]  # type: ignore[assignment]
-            if top <= vr + _MIN_GRAN_VR:
+            threshold = self._vr(lwp) + WAKEUP_GRANULARITY_US
+            if fair_vr[worst] <= threshold:  # type: ignore[operator]
                 # fair candidates come in vruntime order, so no later
-                # one's threshold is below this bound either
+                # one's threshold is below the largest running vruntime
+                # either: none of them can preempt anywhere
                 return None
-            threshold = vr + WAKEUP_GRANULARITY_US * NICE_0_WEIGHT // self._weight[lwp.lwp_id]
+            pin = lwp.bound_cpu
             if pin is None:
-                if top > threshold:
-                    return lwp, cpus[worst]
-            else:
-                running_vr = fair_vr[pin]
-                if running_vr is not None and running_vr > threshold:
-                    return lwp, cpus[pin]
+                return lwp, cpus[worst]
+            running_vr = fair_vr[pin]
+            if running_vr is not None and running_vr > threshold:
+                return lwp, cpus[pin]
         return None
