@@ -3,9 +3,9 @@
 Not a paper table — this benchmark backs the pluggable-backend
 performance claim: routing every dispatch decision through a
 :class:`repro.sched.SchedulerBackend` keeps the compiled-plan fast path
-intact, and the richer non-Solaris policies (EDF bucket ranking,
-vruntime bookkeeping) stay within a small constant factor of the
-Solaris backend's fast-path cost on the same trace.
+intact, and the non-Solaris policies (CFS's vruntime queue, Clutch's
+decay-ordered timeshare bucket) stay within a small constant factor of
+the Solaris backend's fast-path cost on the same trace.
 
 Two fixture sets, because backend cost only shows where dispatch
 decisions happen:
