@@ -8,8 +8,12 @@ the engine event count and a sha256 over the segments, placed events,
 thread summaries and per-CPU busy time.  Source locations are left out
 of the hash, so the digest is the same from any checkout path.
 
-Three more sets of cells reach what the grid does not:
+Four more sets of cells reach what the grid does not:
 
+* ``xos/...``: every workload at 5-7 CPUs, unbound and bound, under
+  every backend: 8 threads partly oversubscribe those machines, so CPUs
+  differ in how many queued contenders may run on them, and the
+  tickless backends slice some CPUs while others run untimed;
 * ``rt/...``: RT threads under ``cfs`` and ``clutch``, on water, ocean
   and fft at 1-3 CPUs with and without an LWP limit: two RT priorities
   unbound, and those two beside an RT and a time-sharing thread pinned
@@ -70,6 +74,8 @@ THREADS = 8
 SCALE = 0.05
 SEED = 0
 CPUS = (1, 2, 3, 4, 8)
+#: partly oversubscribed CPU counts the ``xos/...`` cells replay
+XOS_CPUS = (5, 6, 7)
 #: workload the per-backend policy cells replay
 POLICY_WORKLOAD = "water"
 #: SPLASH-2 models the fixture cells replay at few threads and small scales
@@ -117,23 +123,38 @@ def record(name: str):
     return record_program(program).trace
 
 
-def workload_cells(name: str, trace) -> List[Tuple[str, SimConfig]]:
-    """Workload *name*'s ``(label, config)`` cells, in a fixed order."""
+def _grid(trace, cpu_counts) -> List[Tuple[str, SimConfig]]:
+    """``cpu_counts`` x unbound/bound configurations of *trace*."""
     tids = sorted(int(t) for t in trace.thread_ids())
     bound = {t: ThreadPolicy(bound=True) for t in tids}
-    configs = [
+    return [
         (f"{cpus}cpu/{binding}", SimConfig(
             cpus=cpus, thread_policies=bound if binding == "bound" else {}
         ))
-        for cpus in CPUS
+        for cpus in cpu_counts
         for binding in ("unbound", "bound")
     ]
+
+
+def workload_cells(name: str, trace) -> List[Tuple[str, SimConfig]]:
+    """Workload *name*'s ``(label, config)`` cells, in a fixed order."""
+    tids = sorted(int(t) for t in trace.thread_ids())
+    configs = _grid(trace, CPUS)
     if name == POLICY_WORKLOAD:
         configs += _policy_cells(tids)
     return [
         (f"{name}/{label}/{scheduler}", config.with_scheduler(scheduler))
         for scheduler in available_backends()
         for label, config in configs
+    ]
+
+
+def xos_cells(name: str, trace) -> List[Tuple[str, SimConfig]]:
+    """Workload *name* on the partly oversubscribed machines."""
+    return [
+        (f"xos/{name}/{label}/{scheduler}", config.with_scheduler(scheduler))
+        for scheduler in available_backends()
+        for label, config in _grid(trace, XOS_CPUS)
     ]
 
 
@@ -241,7 +262,7 @@ def cells() -> List[Cell]:
     for name in WORKLOADS:
         trace = record(name)
         plan = compile_trace(trace)
-        configs = workload_cells(name, trace)
+        configs = workload_cells(name, trace) + xos_cells(name, trace)
         if name in RT_WORKLOADS:
             configs += rt_cells(name, trace)
         out += [(label, plan, config, None) for label, config in configs]
