@@ -55,7 +55,7 @@ BASELINE = "BENCH_sched.json"
 REFERENCE = "solaris"
 #: allowed cost per replayed engine event, relative to Solaris, on the
 #: oversubscribed fixtures
-MAX_PER_EVENT_RATIO = 2.5
+MAX_PER_EVENT_RATIO = 2.0
 
 
 def make_lock_ladder(scale: float) -> Program:
