@@ -17,7 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.events import SourceLocation
 from repro.core.ids import SyncObjectId
 
-__all__ = ["Severity", "Site", "Finding", "LintReport"]
+__all__ = ["Severity", "Site", "Finding", "LintReport", "site_key"]
+
+
+def site_key(source: SourceLocation) -> str:
+    """``basename:line`` of a source site: the same from any checkout
+    path, so fingerprints and labels that name sites carry across
+    machines."""
+    name = source.file.replace("\\", "/").rsplit("/", 1)[-1]
+    return f"{name}:{source.line}"
 
 
 class Severity(enum.Enum):
@@ -110,22 +118,21 @@ class Finding:
     def fingerprint(self) -> str:
         """Stable identity across runs of the same program.
 
-        Hashes what the finding *is* (rule, operand, source sites) and
-        not where in this particular log it happened (no event indices,
-        no timestamps, no message text): re-recording the same program
-        yields the same fingerprint, so findings diff across runs and a
-        ``--baseline`` file keeps suppressing them.
+        Hashes what the finding *is* (rule, operand, source sites as
+        ``basename:line``) and not where in this particular log or
+        checkout it happened (no event indices, no timestamps, no
+        message text, no directories): re-recording the same program,
+        from any checkout path, yields the same fingerprint, so findings
+        diff across runs and a ``--baseline`` file keeps suppressing
+        them.
         """
         parts = [
             self.rule_id,
             str(self.obj) if self.obj is not None else "",
-            f"{self.source.file}:{self.source.line}" if self.source else "",
+            site_key(self.source) if self.source else "",
         ]
         parts.extend(
-            sorted(
-                f"{s.source.file}:{s.source.line}" if s.source else s.label
-                for s in self.related
-            )
+            sorted(site_key(s.source) if s.source else s.label for s in self.related)
         )
         digest = hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
         return digest

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.ids import SyncObjectId
 
 from repro.analysis.lint.engine import LintContext, Rule, register_rule
-from repro.analysis.lint.findings import Finding, Severity, Site
+from repro.analysis.lint.findings import Finding, Severity, Site, site_key
 from repro.analysis.lint.hb import VarRaces
 from repro.analysis.lint.locks import LockOrderEdge
 from repro.analysis.lint.witness import (
@@ -221,7 +221,9 @@ class LockOrderCycleRule(Rule):
         threads = sorted({w.tid for w in witnesses})
         related = []
         for w in witnesses:
-            held_at = f" (held since {w.held_source})" if w.held_source else ""
+            held_at = (
+                f" (held since {site_key(w.held_source)})" if w.held_source else ""
+            )
             related.append(
                 Site(
                     label=f"T{w.tid} acquired {w.later} while holding "

@@ -74,7 +74,7 @@ def _result(finding: Finding, rule_index: Dict[str, int]) -> Dict[str, object]:
     if related:
         result["relatedLocations"] = related
     result["partialFingerprints"] = {
-        "vppbFingerprint/v1": finding.fingerprint()
+        "vppbFingerprint/v2": finding.fingerprint()
     }
     props: Dict[str, object] = {}
     if finding.tid is not None:

@@ -1146,8 +1146,8 @@ def _lint_baseline_fingerprints(path: str) -> set:
         for run in data.get("runs", ()):
             for result in run.get("results", ()):
                 partial = result.get("partialFingerprints", {})
-                if partial.get("vppbFingerprint/v1"):
-                    fps.add(str(partial["vppbFingerprint/v1"]))
+                if partial.get("vppbFingerprint/v2"):
+                    fps.add(str(partial["vppbFingerprint/v2"]))
     return fps
 
 

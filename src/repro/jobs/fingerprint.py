@@ -55,7 +55,9 @@ ENGINE_VERSION = 2
 #: lint-job fingerprint.  Bump whenever a rule, the happens-before
 #: analysis, or the manifestation criteria change — predictive-lint grid
 #: results cached under the old semantics then stop being served.
-LINT_VERSION = 1
+#: v2: finding fingerprints and site labels name source sites as
+#: ``basename:line`` (probes match findings by fingerprint).
+LINT_VERSION = 2
 
 #: Version of the analytical tier (stats extractor + closed-form models)
 #: baked into every analytic-job fingerprint.  Bump when the extraction

@@ -7,16 +7,17 @@ pins what the trace lint concludes:
 * ``run_lint`` over the lint gate's traces (fft, lu, prodcons and
   prodcons-tuned at scale 0.05, and prodcons-racy), recorded with fixed
   seeds, and over the recorded deadlock log of ``tests/test_watchdog.py``.
-  For each finding: rule id, severity, thread, object, event index, the
-  related sites (label, thread, event index) and the witness digest;
+  For each finding: rule id, severity, thread, object, event index,
+  fingerprint, the related sites (label, thread, event index) and the
+  witness digest;
 * ``whatif_lint`` on the racy trace over cpus {1, 2, 4} x every backend,
   with each finding's ``manifests`` (the grid cells where the hazard
   showed up in replay).
 
-Source file paths are left out: the related-site labels have the
-package directory replaced by ``<src>``, and finding fingerprints, which
-hash absolute paths, are not stored.  So the file is the same from any
-checkout path.
+Fingerprints and labels name source sites as ``basename:line``, so
+they are stored verbatim and the file is the same from any checkout
+path; ``test_fingerprints_do_not_depend_on_the_checkout_path`` checks
+that on a log whose paths are moved to another directory.
 
 The file is stamped with ``LINT_VERSION``, ``ENGINE_VERSION`` and every
 backend's ``version``, the constants that key the lint results in the
@@ -60,7 +61,7 @@ SEED = 0
 #: the trace the what-if grid probes, and the grid's CPU counts
 WHATIF_TRACE = "prodcons-racy"
 WHATIF_CPUS = (1, 2, 4)
-#: the directory source locations are relative to, on this checkout
+#: the directory source locations sit under, on this checkout
 _SRC = str(Path(repro.__file__).parents[1])
 
 
@@ -74,16 +75,17 @@ def record(name: str, threads: int, scale: float):
 
 
 def verdict(finding) -> Dict[str, object]:
-    """A finding's golden entry, without source paths."""
+    """A finding's golden entry."""
     out: Dict[str, object] = {
         "rule_id": finding.rule_id,
         "severity": finding.severity.value,
         "tid": finding.tid,
         "object": None if finding.obj is None else str(finding.obj),
         "event_index": finding.event_index,
+        "fingerprint": finding.fingerprint(),
         "related": [
             {
-                "label": site.label.replace(_SRC, "<src>"),
+                "label": site.label,
                 "tid": site.tid,
                 "event_index": site.event_index,
             }
@@ -137,6 +139,24 @@ class TestLintDigest:
             f"{len(answers)} traces (bump LINT_VERSION, ENGINE_VERSION or the "
             "backend's version, then regenerate): " + "; ".join(moved)
         )
+
+    def test_fingerprints_do_not_depend_on_the_checkout_path(self):
+        """The same recording, its source paths moved to another
+        checkout directory, lints to the same fingerprints and labels
+        (so ``--baseline`` files carry across machines)."""
+        text = logfile.dumps(record(WHATIF_TRACE, 4, 0.1))
+        assert _SRC in text
+        moved = logfile.loads(text.replace(_SRC, "/elsewhere/checkout/src"))
+
+        def ids(trace):
+            return [
+                (f.fingerprint(), [site.label for site in f.related])
+                for f in run_lint(trace)
+            ]
+
+        here = ids(logfile.loads(text))
+        assert here and ids(moved) == here
+        assert not any(_SRC in label for _, labels in here for label in labels)
 
 
 if __name__ == "__main__":

@@ -346,7 +346,7 @@ class TestSalvageAndBaseline:
         results = to_sarif(racy_report)["runs"][0]["results"]
         assert results
         for result in results:
-            fp = result["partialFingerprints"]["vppbFingerprint/v1"]
+            fp = result["partialFingerprints"]["vppbFingerprint/v2"]
             assert len(fp) == 64
 
 
