@@ -22,7 +22,7 @@ differential parity suite (``tests/test_replay_fastpath.py``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.sched.base import SchedulerBackend, register_backend
 
@@ -53,7 +53,7 @@ class SolarisBackend(SchedulerBackend):
                 lwp.kernel_priority
             )
 
-    def sched_tick(self, runnable: "List[SimLwp]", now: int) -> None:
+    def sched_tick(self, runnable: "Iterable[SimLwp]", now: int) -> None:
         # starvation lifts (maxwait/lwait), applied while dispatching
         dispatch = self.dispatch_table
         for lwp in runnable:
@@ -66,10 +66,11 @@ class SolarisBackend(SchedulerBackend):
                 )
                 lwp.runnable_since_us = now
 
-    def thread_select(self, runnable: "List[SimLwp]") -> "List[SimLwp]":
-        if len(runnable) > 1:
-            runnable.sort(key=lambda l: (-_effective_priority(l), l.enqueue_seq))
-        return runnable
+    def thread_select(self, runnable: "Iterable[SimLwp]") -> "List[SimLwp]":
+        ranked = list(runnable)
+        if len(ranked) > 1:
+            ranked.sort(key=lambda l: (-_effective_priority(l), l.enqueue_seq))
+        return ranked
 
     def quantum_for(self, lwp: "SimLwp") -> int:
         if lwp.rt:
