@@ -353,9 +353,9 @@ class TestJobKinds:
         ("sim", "solaris"): "ca509b935107b55682dff4c538d6484cf3476139ddfe3a6a1e76235d15eb3c0b",
         ("sim", "cfs"): "028af46e152d89fc6700ee1412c6718d59d44d25d612d6560e9feddd711d1c32",
         ("sim", "clutch"): "f168cafd6aa9f1643c0e29dc64df7729b5b2fbe25e5525f71afbe4a19bc0b14e",
-        ("lint", "solaris"): "2e2fcd46ff3148203bf02524e0b5fb6d9be9ab6720923b831c12615a683bf473",
-        ("lint", "cfs"): "fda6e1ebfaff5c2e710ea2f81845b76dec2ad8ab75d1be97e62421764133f18d",
-        ("lint", "clutch"): "cef01fad84367d9f8c56dff58afda5cf8323097b914711e775f49aa02033310b",
+        ("lint", "solaris"): "8dbddb77143ad716d7cbee8a793407052f1cadfbc4921874a09650accec7fc62",
+        ("lint", "cfs"): "f0f2ad83bf33efd5f95891a55f71c70def0e02feb52eb2228c8351df8dc7dd68",
+        ("lint", "clutch"): "ee376ce8c1d85638835a91304abc58e98bca1ca77751b8d7ce14e15bc7adb0bf",
         ("analytic", "solaris"): "3d8a41037777cfffcee623ac537691bf371a3528573a8f8ed4acaa5120af5ceb",
         ("analytic", "cfs"): "ab742bf1d5b0b87fd877ac9f84b123a0b7913c56073b5cc20c5e8221fbf6ce88",
         ("analytic", "clutch"): "5f9568efdaaa1e7826d7846e992a0c8c8ffa6b062f108d9391967b9767963575",
