@@ -30,17 +30,28 @@ on disk:
   batch job engine (worker pool + content-addressed result cache);
 * ``vppb serve`` — long-lived local prediction service over HTTP
   (trace uploads, prediction requests, ``/metrics``);
+* ``vppb client predict run.log`` — call a running ``vppb serve``
+  (upload, predict, ``/metrics``, readiness) with retries;
 * ``vppb calibrate -o profiles/default.json`` — fit the §3.2 cost
   parameters to measured runs of the calibration suite and write the
   profile artifact;
 * ``vppb validate --profile profiles/default.json`` — re-measure the
   profile's own suite and gate on the §4 error budget (exit 0 ok,
   1 drift, 2 over budget);
+* ``vppb calibrate-analytic -o profiles/analytic.json`` — fit the
+  analytic tier's interval margins against the DES (``--verify PATH``
+  re-checks a profile instead);
 * ``vppb workloads`` — list the bundled programs.
 
 The prediction commands (``predict``, ``report``, ``stats``, ``knee``,
 ``visualize``, ``whatif``) all accept ``--profile PATH`` to run under a
-fitted cost model instead of the built-in defaults.
+fitted cost model instead of the built-in defaults; ``compare`` does
+not.
+
+Each flag meaning is declared once, in a shared group or beside its
+handler; every engine comes from :func:`_engine` (``--workers`` 0 runs
+in-process, N >= 1 runs N worker processes).  Only the standard library
+is imported up front, so ``vppb serve`` starts without numpy.
 """
 
 from __future__ import annotations
@@ -51,15 +62,12 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.analysis.metrics import contention_by_object
-from repro.core.config import SimConfig
-from repro.core.predictor import compile_trace, predict
-from repro.core.timebase import to_seconds
-from repro.recorder import logfile
-from repro.visualizer.ascii_render import render_ascii
-from repro.visualizer.svg_render import save_svg
-
 __all__ = ["main", "build_parser"]
+
+
+# ---------------------------------------------------------------------------
+# value types
+# ---------------------------------------------------------------------------
 
 
 def _parse_cpus(text: str) -> List[int]:
@@ -72,47 +80,31 @@ def _parse_cpus(text: str) -> List[int]:
     return counts
 
 
-def _parse_factor(text: str) -> float:
-    """A scale factor: a finite number >= 0."""
-    try:
-        factor = float(text)
-    except ValueError:
-        factor = math.nan
-    if not 0 <= factor < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"bad factor {text!r} (want a number >= 0)"
-        )
-    return factor
+def _ranged(cast, what: str, low, high=math.inf, *, exclusive: bool = False):
+    """Type for a finite number flag in [*low*, *high*] ((*low*, *high*]
+    if *exclusive*); *what* names the value in the usage error."""
+    kind = "an integer" if cast is int else "a number"
+    if high < math.inf:
+        want = f"{kind} in {'(' if exclusive else '['}{low}, {high}]"
+    else:
+        want = f"{kind} {'>' if exclusive else '>='} {low}"
 
-
-def _parse_fraction(text: str) -> float:
-    """A target fraction: a number in (0, 1]."""
-    try:
-        fraction = float(text)
-    except ValueError:
-        fraction = math.nan
-    if not 0 < fraction <= 1:
-        raise argparse.ArgumentTypeError(
-            f"bad fraction {text!r} (want a number in (0, 1])"
-        )
-    return fraction
-
-
-def _positive_int(what: str):
-    """Type for integer flags that must be >= 1; *what* names the value."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"bad {what} {text!r} (want an integer >= 1)"
-            )
+            value = math.nan
+        finite = not isinstance(value, float) or math.isfinite(value)
+        above_low = value > low if exclusive else value >= low
+        if not (finite and above_low and value <= high):
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r} (want {want})")
         return value
 
     return parse
+
+
+_FACTOR = _ranged(float, "factor", 0)
+_FRACTION = _ranged(float, "fraction", 0, 1, exclusive=True)
 
 
 def _lock_value(parse_value):
@@ -127,7 +119,181 @@ def _lock_value(parse_value):
     return parse
 
 
-def _config_from(args: argparse.Namespace, cpus: int) -> SimConfig:
+# ---------------------------------------------------------------------------
+# flag declarations: shared groups, and one registry of subcommands
+# ---------------------------------------------------------------------------
+
+
+def _arg(*names, **spec):
+    """One flag declaration: ``add_argument``'s arguments, unapplied."""
+    return names, spec
+
+
+def _cpus(default):
+    """``--cpus``: a list ``N,N,...`` where *default* is one, else a count."""
+    many = isinstance(default, list)
+    return _arg(
+        "--cpus", type=_parse_cpus if many else _ranged(int, "CPU count", 1),
+        default=default, metavar="N,N,..." if many else None,
+        help="simulated CPU count(s) (default: %s)"
+        % (",".join(map(str, default)) if many else default),
+    )
+
+
+def _workers(default: Optional[int]):
+    """``--workers``: 0 runs in-process, N >= 1 runs N worker processes.
+    ``batch`` and ``serve`` default (None) to a pool sized to the
+    machine, so they take no 0."""
+    pooled = default is None
+    return _arg(
+        "--workers", type=_ranged(int, "worker count", 1 if pooled else 0),
+        default=default, metavar="N",
+        help="worker processes (default: up to 8, one per CPU)" if pooled
+        else "run the simulation jobs on N worker processes (0 = in-process)",
+    )
+
+
+def _format(*choices):
+    """``--format``; the first choice is the default."""
+    return _arg(
+        "--format", choices=choices, default=choices[0],
+        help=f"report format (default: {choices[0]})",
+    )
+
+
+_LOGFILE = _arg("log", help="log file from 'vppb record'")
+_MACHINE = (
+    _arg("--lwps", type=_ranged(int, "LWP count", 1), default=None,
+         help="LWP pool size"),
+    _arg("--comm-delay", type=_ranged(int, "delay", 0), default=0,
+         help="inter-CPU wake delay (µs)"),
+)
+#: the prediction commands: a log, the simulated machine, a cost model
+_LOG = (
+    _LOGFILE,
+    *_MACHINE,
+    _arg(
+        "--profile", default=None, metavar="PATH",
+        help="run under the fitted cost model from this calibration "
+        "profile (see 'vppb calibrate')",
+    ),
+)
+_CACHE_DIR = _arg(
+    "--cache-dir", default=None, metavar="DIR",
+    help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
+)
+_NO_CACHE = _arg(
+    "--no-cache", action="store_true",
+    help="neither read nor persist cached results",
+)
+#: the engine of lint --whatif, calibrate, validate and calibrate-analytic
+_ENGINE = (_workers(0), _CACHE_DIR, _NO_CACHE)
+_OUTPUT = _arg(
+    "-o", "--output", default=None, help="write the report here (else stdout)"
+)
+_QUIET = _arg(
+    "--quiet", action="store_true",
+    help="suppress progress and per-request log lines",
+)
+_SERVICE = (
+    _arg("--host", default="127.0.0.1"),
+    _arg("--port", type=_ranged(int, "port", 0, 65535), default=8123),
+)
+
+_SUBCOMMANDS: list = []
+
+
+def _command(name: str, help: str, *flags):
+    """Declare ``vppb <name>`` with *flags* (:func:`_arg` declarations);
+    the decorated handler is bound as the subcommand's ``run``."""
+
+    def register(run):
+        _SUBCOMMANDS.append((name, help, flags, run))
+        return run
+
+    return register
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vppb",
+        description="VPPB reproduction: record, predict and visualize "
+        "multithreaded program behaviour (Broberg/Lundberg/Grahn, IPPS'98)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help, flags, run in _SUBCOMMANDS:
+        command = sub.add_parser(name, help=help)
+        for names, spec in flags:
+            command.add_argument(*names, **spec)
+        command.set_defaults(run=run)
+    return parser
+
+
+# ---------------------------------------------------------------------------
+# shared code paths
+# ---------------------------------------------------------------------------
+
+
+def _fail(args: argparse.Namespace, message) -> int:
+    """Report a request the command cannot serve; exit status 2."""
+    print(f"vppb {args.command}: {message}", file=sys.stderr)
+    return 2
+
+
+def _engine(args: argparse.Namespace):
+    """The job engine a command's flags ask for; close it with ``with``.
+
+    ``--workers 0`` (and ``--inline``) run in-process, N >= 1 runs N
+    worker processes, and ``batch``/``serve`` default to a pool sized to
+    the machine.  Commands without ``--workers`` run in-process.
+    Results are cached on disk under ``--cache-dir`` unless
+    ``--no-cache``; commands without ``--cache-dir`` cache in memory.
+    """
+    from repro.jobs import JobEngine, ResultCache, default_cache_dir
+
+    inline = getattr(args, "workers", 0) == 0 or getattr(args, "inline", False)
+    disk = hasattr(args, "cache_dir") and not getattr(args, "no_cache", False)
+    return JobEngine(
+        workers=None if inline else args.workers,
+        mode="inline" if inline else "process",
+        cache=ResultCache((args.cache_dir or default_cache_dir()) if disk else None),
+    )
+
+
+def _write_report(args: argparse.Namespace, text: str, note: str = "") -> None:
+    """Write a report to ``-o`` and say so (with *note*), else print it."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {args.output}{note}")
+    else:
+        print(text)
+
+
+def _read_log(path):
+    """Read a log for ``doctor`` and ``lint``: parse it strictly and, if
+    that fails, salvage what remains.
+
+    Returns ``(text, trace, error, salvage)``: the strict parse's
+    :class:`TraceError` and the salvage result, both None when the log
+    parsed.  Raises OSError when the file cannot be read.
+    """
+    from repro.core.errors import TraceError
+    from repro.recorder import logfile
+    from repro.recorder.salvage import salvage_loads
+
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
+    try:
+        return text, logfile.loads(text, mode="strict", source=str(path)), None, None
+    except TraceError as exc:
+        salvage = salvage_loads(text, source=str(path))
+        return text, salvage.trace, exc, salvage
+
+
+def _config_from(args: argparse.Namespace, cpus: int):
+    from repro.core.config import SimConfig
+
     config = SimConfig(
         cpus=cpus,
         lwps=args.lwps,
@@ -141,451 +307,13 @@ def _config_from(args: argparse.Namespace, cpus: int) -> SimConfig:
     return config
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vppb",
-        description="VPPB reproduction: record, predict and visualize "
-        "multithreaded program behaviour (Broberg/Lundberg/Grahn, IPPS'98)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _speedups(engine, trace, cpus: List[int], base, **kw):
+    """*trace*'s speed-up curve over *cpus*: one grid, read strictly."""
+    from repro.jobs import TraceRef
+    from repro.jobs.manifest import curve_cells, run_grid
 
-    p_rec = sub.add_parser("record", help="monitored uni-processor run of a workload")
-    p_rec.add_argument("workload", help="bundled workload name (see 'vppb workloads')")
-    p_rec.add_argument("-p", "--threads", type=int, default=4, help="worker threads")
-    p_rec.add_argument("-s", "--scale", type=float, default=0.1, help="problem scale")
-    p_rec.add_argument("-o", "--output", required=True, help="log file to write")
-    p_rec.add_argument(
-        "--overhead", type=int, default=None, help="probe overhead per record (µs)"
-    )
-    p_rec.add_argument(
-        "--seed", type=int, default=None,
-        help="pin the program's RNG streams so the recorded trace is "
-        "bit-reproducible (calibration inputs need this)",
-    )
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("log", help="log file from 'vppb record'")
-    common.add_argument("--lwps", type=int, default=None, help="LWP pool size")
-    common.add_argument(
-        "--comm-delay", type=int, default=0, help="inter-CPU wake delay (µs)"
-    )
-    common.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="run under the fitted cost model from this calibration "
-        "profile (see 'vppb calibrate')",
-    )
-
-    p_pred = sub.add_parser("predict", parents=[common], help="predict speed-up")
-    p_pred.add_argument("--cpus", type=_parse_cpus, default=[2, 4, 8])
-
-    p_vis = sub.add_parser("visualize", parents=[common], help="render the graphs")
-    p_vis.add_argument("--cpus", type=int, default=4)
-    p_vis.add_argument("-o", "--output", default=None, help="SVG path (else ASCII)")
-    p_vis.add_argument("--width", type=int, default=1000)
-    p_vis.add_argument("--compress", action="store_true", help="hide idle threads")
-    p_vis.add_argument(
-        "--chrome",
-        action="store_true",
-        help="write Trace Event JSON (chrome://tracing) instead of SVG",
-    )
-    p_vis.add_argument(
-        "--html",
-        action="store_true",
-        help="write a standalone HTML report instead of SVG",
-    )
-    p_vis.add_argument(
-        "--lint",
-        action="store_true",
-        help="overlay lint findings on the HTML report (implies --html)",
-    )
-
-    p_rep = sub.add_parser("report", parents=[common], help="sweep + bottlenecks")
-    p_rep.add_argument("--cpus", type=_parse_cpus, default=[2, 4, 8])
-    p_rep.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run the sweep on N worker processes (0 = in-process)",
-    )
-    p_rep.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-
-    p_batch = sub.add_parser(
-        "batch", help="run a sweep manifest through the batch job engine"
-    )
-    p_batch.add_argument("manifest", help="sweep manifest (JSON; see docs/service.md)")
-    p_batch.add_argument(
-        "--workers", type=_positive_int("worker count"), default=None, metavar="N",
-        help="worker processes (default: up to 8, one per CPU)",
-    )
-    p_batch.add_argument(
-        "--inline", action="store_true",
-        help="run jobs in-process instead of on a worker pool",
-    )
-    p_batch.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
-    )
-    p_batch.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor persist cached results",
-    )
-    p_batch.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="report format (default: table)",
-    )
-    p_batch.add_argument(
-        "-o", "--output", default=None, help="write the report here (else stdout)"
-    )
-    p_batch.add_argument(
-        "--tier", choices=("sim", "analytic", "auto"), default="sim",
-        help="prediction tier: sim replays every cell; analytic answers "
-        "from calibrated closed-form intervals; auto screens analytically "
-        "and replays only the cells the intervals cannot decide "
-        "(default: sim)",
-    )
-    p_batch.add_argument(
-        "--analytic-profile", default=None, metavar="PATH",
-        help="analytic calibration profile for --tier analytic/auto "
-        "(default: $VPPB_ANALYTIC_PROFILE or profiles/analytic.json)",
-    )
-    p_batch.add_argument(
-        "--target", type=_parse_fraction, default=None, metavar="FRAC",
-        help="knee target as a fraction of each group's best speed-up "
-        "(default: 0.8)",
-    )
-
-    p_srv = sub.add_parser(
-        "serve", help="long-lived local prediction service (HTTP)"
-    )
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=8123)
-    p_srv.add_argument(
-        "--workers", type=_positive_int("worker count"), default=None, metavar="N",
-        help="worker processes (default: up to 8, one per CPU)",
-    )
-    p_srv.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
-    )
-    p_srv.add_argument(
-        "--spool-dir", default=None, metavar="DIR",
-        help="where uploaded traces are spooled (default: a temp dir)",
-    )
-    p_srv.add_argument(
-        "--quiet", action="store_true", help="suppress per-request log lines"
-    )
-    p_srv.add_argument(
-        "--max-inflight", type=int, default=8, metavar="N",
-        help="admission watermark: concurrent /predict requests before "
-        "shedding 429s (default: 8)",
-    )
-    p_srv.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="default per-request deadline; expiry returns 504 with any "
-        "partial result (default: none)",
-    )
-    p_srv.add_argument(
-        "--max-body-mb", type=float, default=None, metavar="MB",
-        help="request-body cap in MiB; larger uploads get 413 "
-        "(default: $VPPB_MAX_BODY_BYTES or 64 MiB)",
-    )
-    p_srv.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="graceful-shutdown budget for in-flight requests (default: 10)",
-    )
-
-    p_client = sub.add_parser(
-        "client", help="call a running vppb serve instance (with retries)"
-    )
-    p_client.add_argument(
-        "action", choices=("predict", "upload", "metrics", "ready"),
-        help="predict: upload a log and predict speed-ups; upload: spool a "
-        "log; metrics: dump /metrics; ready: readiness probe",
-    )
-    p_client.add_argument(
-        "log", nargs="?", default=None,
-        help="trace log file (predict/upload)",
-    )
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, default=8123)
-    p_client.add_argument(
-        "--cpus", type=_parse_cpus, default="2,4,8", metavar="N,N,...",
-        help="CPU counts to predict (default: 2,4,8)",
-    )
-    p_client.add_argument(
-        "--binding", choices=("unbound", "bound"), default="unbound"
-    )
-    p_client.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-request deadline; a 504 still prints any partial result",
-    )
-    p_client.add_argument(
-        "--stream", action="store_true",
-        help="upload with chunked transfer encoding (streaming salvage)",
-    )
-    p_client.add_argument(
-        "--attempts", type=int, default=4,
-        help="max tries per request incl. backoff retries (default: 4)",
-    )
-    p_client.add_argument(
-        "--timeout", type=float, default=60.0, metavar="SECONDS",
-        help="per-attempt socket timeout (default: 60)",
-    )
-
-    p_stats = sub.add_parser(
-        "stats", parents=[common], help="per-thread time decomposition"
-    )
-    p_stats.add_argument("--cpus", type=int, default=4)
-    p_stats.add_argument(
-        "--top", type=int, default=None, help="show only the N worst-utilised"
-    )
-    p_stats.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="text: simulated per-thread decomposition; json: the raw "
-        "TraceStats profile the analytic tier screens from (default: text)",
-    )
-
-    p_knee = sub.add_parser(
-        "knee", parents=[common], help="smallest machine near the speed-up bound"
-    )
-    p_knee.add_argument(
-        "--target", type=_parse_fraction, default=0.8,
-        help="fraction of the bound to reach",
-    )
-    p_knee.add_argument("--max-cpus", type=_positive_int("CPU count"), default=32)
-
-    p_what = sub.add_parser(
-        "whatif", parents=[common], help="preview tuning hypotheses on the trace"
-    )
-    p_what.add_argument("--cpus", type=int, default=8)
-    p_what.add_argument(
-        "--scale-compute", type=_parse_factor, default=None, metavar="F",
-        help="scale every CPU burst by F",
-    )
-    p_what.add_argument(
-        "--scale-io", type=_parse_factor, default=None, metavar="F",
-        help="scale every recorded I/O wait by F",
-    )
-    p_what.add_argument(
-        "--scale-cs", type=_lock_value(_parse_factor), default=None,
-        metavar="LOCK:F", help="scale the work held under LOCK by F",
-    )
-    p_what.add_argument(
-        "--shard-lock", type=_lock_value(_positive_int("shard count")), default=None,
-        metavar="LOCK:N", help="split LOCK into N round-robin shards",
-    )
-    p_what.add_argument(
-        "--scheduler", default=None, metavar="NAME[,NAME...]",
-        help="cross-OS what-if: predict the trace under these kernel "
-        "scheduler backends (e.g. solaris,clutch,cfs) and compare "
-        "speed-ups; cannot be combined with trace transformations",
-    )
-
-    p_cmp = sub.add_parser(
-        "compare", help="diff two logs' predicted executions (before/after)"
-    )
-    p_cmp.add_argument("before", help="log file before the change")
-    p_cmp.add_argument("after", help="log file after the change")
-    p_cmp.add_argument("--cpus", type=int, default=8)
-    p_cmp.add_argument("--lwps", type=int, default=None)
-    p_cmp.add_argument("--comm-delay", type=int, default=0)
-
-    p_doc = sub.add_parser(
-        "doctor", help="diagnose a damaged log: validate, salvage, dry-run"
-    )
-    p_doc.add_argument("log", help="log file to examine")
-    p_doc.add_argument("--cpus", type=int, default=4, help="CPUs for the dry-run")
-    p_doc.add_argument(
-        "--no-replay", action="store_true", help="skip the replay dry-run"
-    )
-    p_doc.add_argument(
-        "--max-events", type=int, default=5_000_000,
-        help="watchdog event budget for the dry-run",
-    )
-    p_doc.add_argument(
-        "--max-wall", type=float, default=30.0,
-        help="watchdog wall-clock budget in seconds for the dry-run",
-    )
-    p_doc.add_argument(
-        "--repairs", type=int, default=10, metavar="N",
-        help="show at most N individual repairs (0 = none)",
-    )
-
-    # the engine of lint --whatif, calibrate, validate and
-    # calibrate-analytic: inline unless --workers asks for a pool (batch,
-    # serve and report default to other engines, so keep their own flags)
-    engine_flags = argparse.ArgumentParser(add_help=False)
-    engine_flags.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run the simulation jobs on N worker processes (0 = in-process)",
-    )
-    engine_flags.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default: $VPPB_CACHE_DIR or ~/.cache/vppb)",
-    )
-    engine_flags.add_argument(
-        "--no-cache", action="store_true",
-        help="keep the result cache in memory only (no disk reads/writes)",
-    )
-
-    p_lint = sub.add_parser(
-        "lint", parents=[engine_flags],
-        help="static synchronisation analysis of a recorded trace",
-    )
-    p_lint.add_argument("log", help="log file from 'vppb record'")
-    p_lint.add_argument(
-        "--select", action="append", default=None, metavar="RULE",
-        help="run only these rule ids (repeatable; accepts R001 or VPPB-R001)",
-    )
-    p_lint.add_argument(
-        "--ignore", action="append", default=None, metavar="RULE",
-        help="skip these rule ids (repeatable)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text)",
-    )
-    p_lint.add_argument(
-        "--fail-on", default="error", metavar="SEVERITY",
-        help="exit 1 when any finding reaches this severity "
-        "(note|warning|error|never; default: error)",
-    )
-    p_lint.add_argument(
-        "-o", "--output", default=None, help="write the report here (else stdout)"
-    )
-    p_lint.add_argument(
-        "--no-explain", action="store_true",
-        help="omit the per-rule rationale lines from the text report",
-    )
-    p_lint.add_argument(
-        "--strict-parse", action="store_true",
-        help="fail on a damaged log instead of salvaging and linting "
-        "what remains",
-    )
-    p_lint.add_argument(
-        "--whatif", default=None, metavar="MANIFEST",
-        help="predictive grid: probe every race/deadlock finding across "
-        "the machine configs of this sweep manifest (JSON; 'trace' "
-        "defaults to the linted log) and tag each finding with the "
-        "configs under which it manifests",
-    )
-    p_lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings whose fingerprints appear in FILE (a "
-        "previous json/sarif report, or one fingerprint per line); "
-        "exit 0 if only baselined findings remain",
-    )
-    p_lint.add_argument(
-        "--replay-witness", default=None, metavar="DIGEST",
-        help="replay the witness schedule with this digest (prefix ok) "
-        "and report whether it exhibits the claimed hazard "
-        "(exit 0 yes / 1 no)",
-    )
-
-    p_cal = sub.add_parser(
-        "calibrate", parents=[engine_flags],
-        help="fit the cost model to measured runs, write a profile",
-    )
-    p_cal.add_argument(
-        "-o", "--output", default="profiles/default.json", metavar="PATH",
-        help="where to write the profile (default: profiles/default.json)",
-    )
-    p_cal.add_argument(
-        "--workload", action="append", default=None, metavar="NAME[:THREADS[:SCALE]]",
-        help="add a workload to the suite (repeatable; default: the "
-        "stock synthetic+prodcons suite)",
-    )
-    p_cal.add_argument(
-        "--cpus", type=_parse_cpus, default=[2, 4, 8],
-        help="machine sizes to measure and fit against (default: 2,4,8)",
-    )
-    p_cal.add_argument(
-        "--seed", type=int, default=None,
-        help="program seed for the suite's measured runs",
-    )
-    p_cal.add_argument(
-        "--runs", type=int, default=5,
-        help="ground-truth runs per cell, median reported (default: 5)",
-    )
-    p_cal.add_argument(
-        "--max-evals", type=int, default=80,
-        help="objective evaluation budget for the fit (default: 80)",
-    )
-    p_cal.add_argument(
-        "--cv-folds", type=int, default=0, metavar="K",
-        help="k-fold cross-validation across workloads "
-        "(0 = leave-one-out, the default)",
-    )
-    p_cal.add_argument(
-        "--no-cv", action="store_true", help="skip cross-validation"
-    )
-    p_cal.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
-
-    p_val = sub.add_parser(
-        "validate", parents=[engine_flags],
-        help="re-measure a profile's suite and gate on the error budget",
-    )
-    p_val.add_argument(
-        "--profile", required=True, metavar="PATH",
-        help="calibration profile to validate (from 'vppb calibrate')",
-    )
-    p_val.add_argument(
-        "--budget", type=float, default=None, metavar="FRAC",
-        help="per-cell |error| budget (default: 0.062, the paper's "
-        "worst Table 1 cell)",
-    )
-    p_val.add_argument(
-        "--drift-tolerance", type=float, default=None, metavar="FRAC",
-        help="allowed |fresh - recorded| error before a cell counts as drift",
-    )
-    p_val.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="report format (default: table)",
-    )
-    p_val.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="also write the JSON report here (the CI artifact)",
-    )
-    p_val.add_argument(
-        "--attribute", action="store_true",
-        help="break the worst cell's gap down by thread phase "
-        "(running/runnable/blocked/sleeping)",
-    )
-    p_val.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
-
-    p_aca = sub.add_parser(
-        "calibrate-analytic", parents=[engine_flags],
-        help="fit the analytic tier's interval margins against the DES",
-    )
-    p_aca.add_argument(
-        "-o", "--output", default="profiles/analytic.json", metavar="PATH",
-        help="where to write the profile (default: profiles/analytic.json)",
-    )
-    p_aca.add_argument(
-        "--cpus", type=_parse_cpus, default=[1, 2, 4, 8],
-        help="CPU counts in the calibration grid (default: 1,2,4,8)",
-    )
-    p_aca.add_argument(
-        "--pad", type=float, default=None, metavar="FRAC",
-        help="safety pad beyond the observed model-error range; wider "
-        "brackets mean fewer bound violations off-suite but more "
-        "escalations (default: 0.02)",
-    )
-    p_aca.add_argument(
-        "--verify", metavar="PATH", default=None,
-        help="instead of fitting, re-check that PATH's intervals bracket "
-        "the DES on its own suite (exit 1 on violations)",
-    )
-    p_aca.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
-
-    sub.add_parser("workloads", help="list bundled workloads")
-    return parser
+    grid = run_grid(engine, TraceRef.from_trace(trace), curve_cells(base, cpus), **kw)
+    return grid.speedups()
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +321,33 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+@_command(
+    "record", "monitored uni-processor run of a workload",
+    _arg("workload", help="bundled workload name (see 'vppb workloads')"),
+    _arg("-p", "--threads", type=_ranged(int, "thread count", 1), default=4,
+         help="worker threads"),
+    _arg("-s", "--scale", type=_ranged(float, "scale", 0, exclusive=True),
+         default=0.1, help="problem scale"),
+    _arg("-o", "--output", required=True, help="log file to write"),
+    _arg("--overhead", type=int, default=None,
+         help="probe overhead per record (µs)"),
+    _arg(
+        "--seed", type=int, default=None,
+        help="pin the program's RNG streams so the recorded trace is "
+        "bit-reproducible (calibration inputs need this)",
+    ),
+)
 def _cmd_record(args: argparse.Namespace) -> int:
+    from repro.core.timebase import to_seconds
     from repro.program.uniexec import record_program
+    from repro.recorder import logfile
     from repro.recorder.recorder import DEFAULT_PROBE_OVERHEAD_US
     from repro.workloads import get_workload
 
     try:
         workload = get_workload(args.workload)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _fail(args, exc)
     program = workload.make_program(args.threads, args.scale, seed=args.seed)
     overhead = (
         DEFAULT_PROBE_OVERHEAD_US if args.overhead is None else args.overhead
@@ -618,22 +363,17 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def _speedups(engine, trace, cpus: List[int], base: SimConfig, **kw):
-    """*trace*'s speed-up curve over *cpus*: one grid, read strictly."""
-    from repro.jobs import TraceRef
-    from repro.jobs.manifest import curve_cells, run_grid
-
-    grid = run_grid(engine, TraceRef.from_trace(trace), curve_cells(base, cpus), **kw)
-    return grid.speedups()
-
-
+@_command("predict", "predict speed-up", *_LOG, _cpus([2, 4, 8]))
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.core.timebase import to_seconds
+    from repro.recorder import logfile
+
     trace = logfile.load(args.log)
     print(f"{trace.meta.program}: {len(trace)} events, "
           f"{len(trace.thread_ids())} threads")
-    from repro.jobs import default_engine
-
-    for pred in _speedups(default_engine(), trace, args.cpus, _config_from(args, 1)):
+    with _engine(args) as engine:
+        predictions = _speedups(engine, trace, args.cpus, _config_from(args, 1))
+    for pred in predictions:
         print(
             f"  {pred.cpus:>2} CPUs: predicted speed-up {pred.speedup:.2f} "
             f"({to_seconds(pred.makespan_us):.3f}s vs "
@@ -642,7 +382,28 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "visualize", "render the graphs", *_LOG, _cpus(4),
+    _arg("-o", "--output", default=None, help="SVG path (else ASCII)"),
+    _arg("--width", type=_ranged(int, "width", 1), default=1000),
+    _arg("--compress", action="store_true", help="hide idle threads"),
+    _arg(
+        "--chrome", action="store_true",
+        help="write Trace Event JSON (chrome://tracing) instead of SVG",
+    ),
+    _arg(
+        "--html", action="store_true",
+        help="write a standalone HTML report instead of SVG",
+    ),
+    _arg(
+        "--lint", action="store_true",
+        help="overlay lint findings on the HTML report (implies --html)",
+    ),
+)
 def _cmd_visualize(args: argparse.Namespace) -> int:
+    from repro.core.predictor import predict
+    from repro.recorder import logfile
+
     trace = logfile.load(args.log)
     # --lint exists for traces whose replay may deadlock (lock-order
     # inversions manifest under more CPUs): degrade to a partial replay
@@ -680,6 +441,8 @@ def _cmd_visualize(args: argparse.Namespace) -> int:
         print(f"wrote {out}" + (f" ({findings.summary()})" if findings else ""))
         return 0
     if args.output:
+        from repro.visualizer.svg_render import save_svg
+
         save_svg(
             result,
             args.output,
@@ -689,138 +452,192 @@ def _cmd_visualize(args: argparse.Namespace) -> int:
         )
         print(f"wrote {args.output}")
     else:
+        from repro.visualizer.ascii_render import render_ascii
+
         print(render_ascii(result, width=args.width if args.width < 300 else 100))
     return 0
 
 
+@_command(
+    "report", "sweep + bottlenecks", *_LOG, _cpus([2, 4, 8]), _workers(0),
+    _NO_CACHE,
+)
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.jobs import JobEngine, default_engine
+    from repro.analysis.metrics import contention_by_object
+    from repro.core.predictor import predict
+    from repro.core.timebase import to_seconds
+    from repro.recorder import logfile
 
     trace = logfile.load(args.log)
-    if args.workers and args.workers > 1:
-        engine = JobEngine(workers=args.workers, mode="process")
-    else:
-        engine = default_engine()
-    try:
+    with _engine(args) as engine:
         predictions = _speedups(
             engine, trace, args.cpus, _config_from(args, 1), use_cache=not args.no_cache
         )
-        print(f"speed-up prediction for {trace.meta.program}")
-        for pred in predictions:
-            print(f"  {pred.cpus:>2} CPUs: {pred.speedup:.2f}")
-        worst = max(args.cpus)
-        result = predict(trace, _config_from(args, worst))
-        profiles = contention_by_object(result)[:5]
-        if profiles:
-            print(f"top blocking objects on {worst} CPUs:")
-            for p in profiles:
-                print(
-                    f"  {str(p.obj):<24} blocked {to_seconds(p.total_blocked_us):.4f}s "
-                    f"over {p.blocking_operations}/{p.operations} ops"
-                )
-    finally:
-        if engine is not default_engine():
-            engine.close()
+    print(f"speed-up prediction for {trace.meta.program}")
+    for pred in predictions:
+        print(f"  {pred.cpus:>2} CPUs: {pred.speedup:.2f}")
+    worst = max(args.cpus)
+    result = predict(trace, _config_from(args, worst))
+    profiles = contention_by_object(result)[:5]
+    if profiles:
+        print(f"top blocking objects on {worst} CPUs:")
+        for p in profiles:
+            print(
+                f"  {str(p.obj):<24} blocked {to_seconds(p.total_blocked_us):.4f}s "
+                f"over {p.blocking_operations}/{p.operations} ops"
+            )
     return 0
 
 
+@_command(
+    "batch", "run a sweep manifest through the batch job engine",
+    _arg("manifest", help="sweep manifest (JSON; see docs/service.md)"),
+    _workers(None),
+    _arg(
+        "--inline", action="store_true",
+        help="run jobs in-process instead of on a worker pool",
+    ),
+    _CACHE_DIR, _NO_CACHE, _format("table", "json"), _OUTPUT,
+    _arg(
+        "--tier", choices=("sim", "analytic", "auto"), default="sim",
+        help="prediction tier: sim replays every cell; analytic answers "
+        "from calibrated closed-form intervals; auto screens analytically "
+        "and replays only the cells the intervals cannot decide "
+        "(default: sim)",
+    ),
+    _arg(
+        "--analytic-profile", default=None, metavar="PATH",
+        help="analytic calibration profile for --tier analytic/auto "
+        "(default: $VPPB_ANALYTIC_PROFILE or profiles/analytic.json)",
+    ),
+    _arg(
+        "--target", type=_FRACTION, default=None, metavar="FRAC",
+        help="knee target as a fraction of each group's best speed-up "
+        "(default: 0.8)",
+    ),
+)
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.core.errors import TraceError, VppbError
-    from repro.jobs import JobEngine, ResultCache, SweepManifest, default_cache_dir
+    from repro.core.errors import TraceError
+    from repro.jobs import SweepManifest
     from repro.jobs.manifest import run_manifest
     from repro.jobs.tiering import DEFAULT_TARGET_FRACTION
 
-    try:
-        manifest = SweepManifest.load(args.manifest)
-    except VppbError as exc:  # AnalysisError (shape) or ConfigError (keys)
-        print(f"batch: {exc}", file=sys.stderr)
-        return 2
-
+    manifest = SweepManifest.load(args.manifest)
     analytic_profile = None
     if args.tier != "sim":
         from repro.analytic.profile import AnalyticProfile, default_profile_path
-        from repro.core.errors import CalibrationError
 
         path = args.analytic_profile or default_profile_path()
         if path is None:
-            print(
-                "batch: --tier needs an analytic profile; run "
+            return _fail(
+                args, "--tier needs an analytic profile; run "
                 "'vppb calibrate-analytic' or pass --analytic-profile",
-                file=sys.stderr,
             )
-            return 2
-        try:
-            analytic_profile = AnalyticProfile.load(path)
-        except CalibrationError as exc:
-            print(f"batch: {exc}", file=sys.stderr)
-            return 2
+        analytic_profile = AnalyticProfile.load(path)
 
-    cache_root = None
-    if not args.no_cache:
-        cache_root = args.cache_dir or default_cache_dir()
-    engine = JobEngine(
-        workers=args.workers,
-        mode="inline" if args.inline else "process",
-        cache=ResultCache(cache_root),
-    )
     try:
-        report = run_manifest(
-            manifest,
-            engine,
-            use_cache=not args.no_cache,
-            tier=args.tier,
-            analytic_profile=analytic_profile,
-            target_fraction=(
-                args.target if args.target is not None else DEFAULT_TARGET_FRACTION
-            ),
-        )
+        with _engine(args) as engine:
+            report = run_manifest(
+                manifest,
+                engine,
+                use_cache=not args.no_cache,
+                tier=args.tier,
+                analytic_profile=analytic_profile,
+                target_fraction=(
+                    args.target if args.target is not None else DEFAULT_TARGET_FRACTION
+                ),
+            )
     except (OSError, TraceError) as exc:
-        print(f"batch: cannot run {args.manifest}: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        engine.close()
+        return _fail(args, f"cannot run {args.manifest}: {exc}")
 
-    text = report.to_json() if args.format == "json" else report.format_table()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(
-            f"wrote {args.output} ({len(report.scenarios)} scenarios, "
-            f"{len(report.failed)} failed)"
-        )
-    else:
-        print(text)
+    _write_report(
+        args,
+        report.to_json() if args.format == "json" else report.format_table(),
+        f" ({len(report.scenarios)} scenarios, {len(report.failed)} failed)",
+    )
     return 1 if report.failed else 0
 
 
+@_command(
+    "serve", "long-lived local prediction service (HTTP)",
+    *_SERVICE, _workers(None), _CACHE_DIR,
+    _arg(
+        "--spool-dir", default=None, metavar="DIR",
+        help="where uploaded traces are spooled (default: a temp dir)",
+    ),
+    _QUIET,
+    _arg(
+        "--max-inflight", type=int, default=8, metavar="N",
+        help="admission watermark: concurrent /predict requests before "
+        "shedding 429s (default: 8)",
+    ),
+    _arg(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="default per-request deadline; expiry returns 504 with any "
+        "partial result (default: none)",
+    ),
+    _arg(
+        "--max-body-mb", type=float, default=None, metavar="MB",
+        help="request-body cap in MiB; larger uploads get 413 "
+        "(default: $VPPB_MAX_BODY_BYTES or 64 MiB)",
+    ),
+    _arg(
+        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
+        help="graceful-shutdown budget for in-flight requests (default: 10)",
+    ),
+)
 def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.jobs import JobEngine, ResultCache, default_cache_dir
     from repro.jobs.service_async import serve_async
 
-    engine = JobEngine(
-        workers=args.workers,
-        cache=ResultCache(args.cache_dir or default_cache_dir()),
-    )
-    spool_dir = Path(args.spool_dir) if args.spool_dir else None
     max_body_bytes = (
         int(args.max_body_mb * 1024 * 1024) if args.max_body_mb else None
     )
-    serve_async(
-        host=args.host,
-        port=args.port,
-        engine=engine,
-        spool_dir=spool_dir,
-        max_inflight=args.max_inflight,
-        default_deadline_s=args.deadline,
-        max_body_bytes=max_body_bytes,
-        drain_timeout_s=args.drain_timeout,
-        verbose=not args.quiet,
-    )
+    with _engine(args) as engine:
+        serve_async(
+            host=args.host,
+            port=args.port,
+            engine=engine,
+            spool_dir=Path(args.spool_dir) if args.spool_dir else None,
+            max_inflight=args.max_inflight,
+            default_deadline_s=args.deadline,
+            max_body_bytes=max_body_bytes,
+            drain_timeout_s=args.drain_timeout,
+            verbose=not args.quiet,
+        )
     return 0
 
 
+@_command(
+    "client", "call a running vppb serve instance (with retries)",
+    _arg(
+        "action", choices=("predict", "upload", "metrics", "ready"),
+        help="predict: upload a log and predict speed-ups; upload: spool a "
+        "log; metrics: dump /metrics; ready: readiness probe",
+    ),
+    _arg("log", nargs="?", default=None, help="trace log file (predict/upload)"),
+    *_SERVICE,
+    _cpus([2, 4, 8]),
+    _arg("--binding", choices=("unbound", "bound"), default="unbound"),
+    _arg(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="per-request deadline; a 504 still prints any partial result",
+    ),
+    _arg(
+        "--stream", action="store_true",
+        help="upload with chunked transfer encoding (streaming salvage)",
+    ),
+    _arg(
+        "--attempts", type=int, default=4,
+        help="max tries per request incl. backoff retries (default: 4)",
+    ),
+    _arg(
+        "--timeout", type=_ranged(float, "timeout", 0, exclusive=True),
+        default=60.0, metavar="SECONDS",
+        help="per-attempt socket timeout (default: 60)",
+    ),
+)
 def _cmd_client(args: argparse.Namespace) -> int:
     from repro.jobs.client import ClientError, ServiceClient
 
@@ -833,26 +650,19 @@ def _cmd_client(args: argparse.Namespace) -> int:
     try:
         if args.action == "ready":
             payload = client.ready()
-            print(json.dumps(payload, indent=2))
-            return 0 if payload.get("status") == "ready" else 1
-        if args.action == "metrics":
-            print(json.dumps(client.metrics(), indent=2))
-            return 0
-        if args.log is None:
-            print(f"client {args.action}: needs a log file", file=sys.stderr)
-            return 2
-        upload = client.upload_trace(args.log, stream=args.stream)
-        if args.action == "upload":
-            print(json.dumps(upload, indent=2))
-            return 0
-        payload = client.predict(
-            trace=upload["trace"],
-            cpus=args.cpus,
-            binding=args.binding,
-            deadline_s=args.deadline,
-        )
-        print(json.dumps(payload, indent=2))
-        return 0
+        elif args.action == "metrics":
+            payload = client.metrics()
+        elif args.log is None:
+            return _fail(args, f"{args.action}: needs a log file")
+        else:
+            payload = client.upload_trace(args.log, stream=args.stream)
+            if args.action == "predict":
+                payload = client.predict(
+                    trace=payload["trace"],
+                    cpus=args.cpus,
+                    binding=args.binding,
+                    deadline_s=args.deadline,
+                )
     except ClientError as exc:
         if exc.status == 504 and exc.partial is not None:
             print(json.dumps(exc.body, indent=2))
@@ -862,14 +672,29 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        print(f"client: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc)
     except OSError as exc:
-        print(f"client: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc)
+    print(json.dumps(payload, indent=2))
+    return 1 if args.action == "ready" and payload.get("status") != "ready" else 0
 
 
+@_command(
+    "stats", "per-thread time decomposition", *_LOG, _cpus(4),
+    _arg(
+        "--top", type=_ranged(int, "row count", 0), default=None,
+        help="show only the N worst-utilised",
+    ),
+    _arg(
+        "--format", choices=("text", "json"), default="text",
+        help="text: simulated per-thread decomposition; json: the raw "
+        "TraceStats profile the analytic tier screens from (default: text)",
+    ),
+)
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.core.predictor import predict
+    from repro.core.timebase import to_seconds
+    from repro.recorder import logfile
     from repro.visualizer.stats import format_thread_stats
 
     trace = logfile.load(args.log)
@@ -888,16 +713,27 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "knee", "smallest machine near the speed-up bound", *_LOG,
+    _arg(
+        "--target", type=_FRACTION, default=0.8,
+        help="fraction of the bound to reach",
+    ),
+    _arg("--max-cpus", type=_ranged(int, "CPU count", 1), default=32),
+)
 def _cmd_knee(args: argparse.Namespace) -> int:
     from repro.analysis.whatif import find_knee
+    from repro.recorder import logfile
 
     trace = logfile.load(args.log)
-    knee = find_knee(
-        trace,
-        target_fraction=args.target,
-        max_cpus=args.max_cpus,
-        base_config=_config_from(args, 1),
-    )
+    with _engine(args) as engine:
+        knee = find_knee(
+            trace,
+            target_fraction=args.target,
+            max_cpus=args.max_cpus,
+            base_config=_config_from(args, 1),
+            engine=engine,
+        )
     print(
         f"{trace.meta.program}: {knee.cpus} CPU(s) reach "
         f"{knee.speedup:.2f}x of an achievable {knee.bound:.2f}x "
@@ -909,27 +745,23 @@ def _cmd_knee(args: argparse.Namespace) -> int:
 def _whatif_schedulers(args: argparse.Namespace) -> int:
     """Cross-OS what-if: one trace, several simulated kernels.
 
-    Every cell (and the shared recorded-uniprocessor baseline) runs
-    through the default :class:`JobEngine` and its result cache, so
-    repeated comparisons are served from content-addressed results.
+    Every cell and the shared recorded-uniprocessor baseline run as one
+    grid, so the baseline is replayed once for all kernels.
     """
-    from repro.jobs import TraceRef, default_engine
+    from repro.jobs import TraceRef
     from repro.jobs.manifest import expand_grid, run_grid
+    from repro.recorder import logfile
     from repro.sched import available_backends
 
     names = [s.strip() for s in args.scheduler.split(",") if s.strip()]
     known = available_backends()
     for name in names:
         if name not in known:
-            print(
-                f"whatif: unknown scheduler {name!r} "
-                f"(known: {', '.join(known)})",
-                file=sys.stderr,
+            return _fail(
+                args, f"unknown scheduler {name!r} (known: {', '.join(known)})"
             )
-            return 2
     if not names:
-        print("whatif: --scheduler needs at least one name", file=sys.stderr)
-        return 2
+        return _fail(args, "--scheduler needs at least one name")
 
     trace = logfile.load(args.log)
     cells = expand_grid(
@@ -937,7 +769,8 @@ def _whatif_schedulers(args: argparse.Namespace) -> int:
         comm_delays_us=[args.comm_delay], schedulers=names,
         base=_config_from(args, 1),
     )
-    grid = run_grid(default_engine(), TraceRef.from_trace(trace), cells)
+    with _engine(args) as engine:
+        grid = run_grid(engine, TraceRef.from_trace(trace), cells)
     rows = list(zip(names, grid.speedups()))
     print(
         f"cross-kernel what-if for {trace.meta.program} on {args.cpus} "
@@ -951,6 +784,31 @@ def _whatif_schedulers(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "whatif", "preview tuning hypotheses on the trace", *_LOG, _cpus(8),
+    _arg(
+        "--scale-compute", type=_FACTOR, default=None, metavar="F",
+        help="scale every CPU burst by F",
+    ),
+    _arg(
+        "--scale-io", type=_FACTOR, default=None, metavar="F",
+        help="scale every recorded I/O wait by F",
+    ),
+    _arg(
+        "--scale-cs", type=_lock_value(_FACTOR), default=None,
+        metavar="LOCK:F", help="scale the work held under LOCK by F",
+    ),
+    _arg(
+        "--shard-lock", type=_lock_value(_ranged(int, "shard count", 1)),
+        default=None, metavar="LOCK:N", help="split LOCK into N round-robin shards",
+    ),
+    _arg(
+        "--scheduler", default=None, metavar="NAME[,NAME...]",
+        help="cross-OS what-if: predict the trace under these kernel "
+        "scheduler backends (e.g. solaris,clutch,cfs) and compare "
+        "speed-ups; cannot be combined with trace transformations",
+    ),
+)
 def _cmd_whatif(args: argparse.Namespace) -> int:
     from repro.analysis.compare import compare_results, format_comparison
     from repro.analysis.transform import (
@@ -959,19 +817,18 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         scale_io,
         split_lock,
     )
+    from repro.core.predictor import compile_trace
     from repro.core.simulator import Simulator
+    from repro.recorder import logfile
 
     if args.scheduler is not None:
         transforms = (
             args.scale_compute, args.scale_io, args.scale_cs, args.shard_lock,
         )
         if any(t is not None for t in transforms):
-            print(
-                "whatif: --scheduler cannot be combined with trace "
-                "transformations",
-                file=sys.stderr,
+            return _fail(
+                args, "--scheduler cannot be combined with trace transformations"
             )
-            return 2
         return _whatif_schedulers(args)
 
     trace = logfile.load(args.log)
@@ -993,8 +850,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         transformed = split_lock(transformed, lock, ways)
         applied.append(f"{lock!r} split {text} ways")
     if not applied:
-        print("no transformation requested (see --help)", file=sys.stderr)
-        return 2
+        return _fail(args, "no transformation requested (see --help)")
 
     config = _config_from(args, args.cpus)
     before = Simulator(config).run_replay(plan)
@@ -1004,8 +860,16 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "compare", "diff two logs' predicted executions (before/after)",
+    _arg("before", help="log file before the change"),
+    _arg("after", help="log file after the change"),
+    _cpus(8), *_MACHINE,
+)
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.compare import compare_results, format_comparison
+    from repro.core.predictor import predict
+    from repro.recorder import logfile
 
     config = _config_from(args, args.cpus)
     before = predict(logfile.load(args.before), config)
@@ -1016,6 +880,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "doctor", "diagnose a damaged log: validate, salvage, dry-run",
+    _arg("log", help="log file to examine"), _cpus(4),
+    _arg("--no-replay", action="store_true", help="skip the replay dry-run"),
+    _arg(
+        "--max-events", type=int, default=5_000_000,
+        help="watchdog event budget for the dry-run",
+    ),
+    _arg(
+        "--max-wall", type=float, default=30.0,
+        help="watchdog wall-clock budget in seconds for the dry-run",
+    ),
+    _arg(
+        "--repairs", type=_ranged(int, "repair count", 0), default=10,
+        metavar="N", help="show at most N individual repairs (0 = none)",
+    ),
+)
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Diagnose a log file without ever raising.
 
@@ -1023,19 +904,19 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     but damaged (salvaged, or replay came back partial); 2 — unusable
     (unreadable file, or nothing salvageable).
     """
-    from repro.core.errors import LogFormatError, TraceError, VppbError
+    from repro.core.config import SimConfig
     from repro.core.engine import Watchdog
+    from repro.core.errors import LogFormatError, VppbError
+    from repro.core.predictor import predict
+    from repro.core.timebase import to_seconds
     from repro.recorder.salvage import salvage_loads
 
     try:
-        with open(args.log, "r", encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
+        text, trace, error, salvage = _read_log(args.log)
     except OSError as exc:
-        print(f"doctor: cannot read {args.log}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, f"cannot read {args.log}: {exc}")
 
-    def _salvage():
-        result = salvage_loads(text, source=str(args.log))
+    def _print_salvage(result):
         report = result.report
         print(f"salvage: {report.summary()}")
         for kind, count in sorted(report.counts_by_kind().items()):
@@ -1047,23 +928,18 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                 print(f"    {where}{repair.kind}: {repair.detail}")
             if len(report.repairs) > len(shown):
                 print(f"    ... and {len(report.repairs) - len(shown)} more")
-        return result.trace
 
-    salvaged = False
-    try:
-        trace = logfile.loads(text, mode="strict", source=str(args.log))
-    except TraceError as exc:
-        print(f"strict parse failed: {exc}")
-        if isinstance(exc, LogFormatError) and exc.snippet():
-            for line in exc.snippet().splitlines():
-                print(f"    {line}")
-        trace = _salvage()
-        salvaged = True
-    else:
+    if error is None:
         print(
             f"strict parse ok: {len(trace)} records, "
             f"{len(trace.thread_ids())} threads"
         )
+    else:
+        print(f"strict parse failed: {error}")
+        if isinstance(error, LogFormatError) and error.snippet():
+            for line in error.snippet().splitlines():
+                print(f"    {line}")
+        _print_salvage(salvage)
 
     if len(trace) == 0:
         print("diagnosis: UNUSABLE — nothing salvageable from this log")
@@ -1087,9 +963,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             # that happened to leave every line well-formed but cut calls
             # off from their returns).  Salvage repairs exactly that.
             print(f"replay dry-run failed: {exc}")
-            if not salvaged:
-                trace = _salvage()
-                salvaged = True
+            if salvage is None:
+                salvage = salvage_loads(text, source=str(args.log))
+                trace = salvage.trace
+                _print_salvage(salvage)
             try:
                 result = _dry_run(trace) if len(trace) else None
             except VppbError as exc2:
@@ -1107,9 +984,9 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                 f"{to_seconds(result.makespan_us):.3f}s"
             )
 
-    if salvaged or incomplete:
+    if salvage is not None or incomplete:
         verdict = []
-        if salvaged:
+        if salvage is not None:
             verdict.append("log damaged but salvaged")
         if incomplete:
             verdict.append("replay incomplete")
@@ -1151,6 +1028,53 @@ def _lint_baseline_fingerprints(path: str) -> set:
     return fps
 
 
+@_command(
+    "lint", "static synchronisation analysis of a recorded trace",
+    _LOGFILE, *_ENGINE,
+    _arg(
+        "--select", action="append", default=None, metavar="RULE",
+        help="run only these rule ids (repeatable; accepts R001 or VPPB-R001)",
+    ),
+    _arg(
+        "--ignore", action="append", default=None, metavar="RULE",
+        help="skip these rule ids (repeatable)",
+    ),
+    _format("text", "json", "sarif"),
+    _arg(
+        "--fail-on", default="error", metavar="SEVERITY",
+        help="exit 1 when any finding reaches this severity "
+        "(note|warning|error|never; default: error)",
+    ),
+    _OUTPUT,
+    _arg(
+        "--no-explain", action="store_true",
+        help="omit the per-rule rationale lines from the text report",
+    ),
+    _arg(
+        "--strict-parse", action="store_true",
+        help="fail on a damaged log instead of salvaging and linting "
+        "what remains",
+    ),
+    _arg(
+        "--whatif", default=None, metavar="MANIFEST",
+        help="predictive grid: probe every race/deadlock finding across "
+        "the machine configs of this sweep manifest (JSON; 'trace' "
+        "defaults to the linted log) and tag each finding with the "
+        "configs under which it manifests",
+    ),
+    _arg(
+        "--baseline", default=None, metavar="FILE",
+        help="suppress findings whose fingerprints appear in FILE (a "
+        "previous json/sarif report, or one fingerprint per line); "
+        "exit 0 if only baselined findings remain",
+    ),
+    _arg(
+        "--replay-witness", default=None, metavar="DIGEST",
+        help="replay the witness schedule with this digest (prefix ok) "
+        "and report whether it exhibits the claimed hazard "
+        "(exit 0 yes / 1 no)",
+    ),
+)
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Static analysis of a recorded log.
 
@@ -1171,7 +1095,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         sarif_json,
         whatif_lint,
     )
-    from repro.core.errors import AnalysisError, TraceError, VppbError
+    from repro.core.errors import AnalysisError, VppbError
 
     fail_on: Optional[Severity]
     if args.fail_on.lower() == "never":
@@ -1180,43 +1104,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         try:
             fail_on = Severity.parse(args.fail_on)
         except ValueError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
+            return _fail(args, exc)
 
     # lenient load: a partially corrupt log still carries evidence, so
     # lint what the salvage pipeline can keep (doctor's loader)
     try:
-        with open(args.log, "r", encoding="utf-8", errors="replace") as fh:
-            log_text = fh.read()
+        _, trace, error, salvaged = _read_log(args.log)
     except OSError as exc:
-        print(f"lint: cannot read {args.log}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, f"cannot read {args.log}: {exc}")
     salvage = None
-    try:
-        trace = logfile.loads(log_text, mode="strict", source=str(args.log))
-    except TraceError as exc:
+    if error is not None:
         if args.strict_parse:
-            print(f"lint: cannot load {args.log}: {exc}", file=sys.stderr)
-            return 2
-        from repro.recorder.salvage import salvage_loads
-
-        result = salvage_loads(log_text, source=str(args.log))
-        if len(result.trace) == 0:
-            print(
-                f"lint: nothing salvageable from {args.log}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        trace, salvage = result.trace, result.report
+            return _fail(args, f"cannot load {args.log}: {error}")
+        if len(trace) == 0:
+            return _fail(args, f"nothing salvageable from {args.log}: {error}")
+        salvage = salvaged.report
         print(f"lint: salvaged input — {salvage.summary()}", file=sys.stderr)
 
-    try:
-        report = run_lint(
-            trace, select=args.select, ignore=args.ignore, salvage=salvage
-        )
-    except AnalysisError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    report = run_lint(trace, select=args.select, ignore=args.ignore, salvage=salvage)
 
     if args.whatif:
         from repro.jobs import SweepManifest
@@ -1228,10 +1133,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 data.setdefault("trace", str(args.log))
             manifest = SweepManifest.from_dict(data)
         except (OSError, ValueError, AnalysisError) as exc:
-            print(f"lint: bad --whatif manifest: {exc}", file=sys.stderr)
-            return 2
-        engine = _engine_from_flags(args)
-        with engine:
+            return _fail(args, f"bad --whatif manifest: {exc}")
+        with _engine(args) as engine:
             res = whatif_lint(trace, manifest, report=report, engine=engine)
         report = res.report
         for cell in res.cells:
@@ -1245,17 +1148,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.replay_witness:
         witness = find_witness(report, args.replay_witness)
         if witness is None:
-            print(
-                f"lint: no finding carries a witness matching "
-                f"{args.replay_witness!r}",
-                file=sys.stderr,
+            return _fail(
+                args,
+                f"no finding carries a witness matching {args.replay_witness!r}",
             )
-            return 2
         try:
             replay = replay_witness(trace, witness)
         except VppbError as exc:
-            print(f"lint: witness replay failed: {exc}", file=sys.stderr)
-            return 2
+            return _fail(args, f"witness replay failed: {exc}")
         shown = "EXHIBITED" if replay.exhibited else "NOT EXHIBITED"
         print(
             f"witness {witness.digest[:12]} ({witness.kind}, "
@@ -1267,8 +1167,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         try:
             baselined = _lint_baseline_fingerprints(args.baseline)
         except OSError as exc:
-            print(f"lint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
+            return _fail(args, f"cannot read baseline: {exc}")
         kept = [f for f in report if f.fingerprint() not in baselined]
         suppressed = len(report) - len(kept)
         if suppressed:
@@ -1288,33 +1187,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         text = render_json(report)
     else:
         text = render_text(report, explain=not args.no_explain)
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output} ({report.summary()})")
-    else:
-        print(text)
+    _write_report(args, text, f" ({report.summary()})")
 
     if fail_on is not None and report.at_least(fail_on):
         return 1
     return 0
-
-
-def _engine_from_flags(args: argparse.Namespace):
-    """The engine the ``engine_flags`` options (--workers, --cache-dir,
-    --no-cache) ask for."""
-    from repro.jobs import JobEngine, ResultCache, default_cache_dir
-
-    cache_root = None
-    if not args.no_cache:
-        cache_root = args.cache_dir or default_cache_dir()
-    mode = "process" if args.workers and args.workers > 1 else "inline"
-    return JobEngine(
-        workers=args.workers if mode == "process" else None,
-        mode=mode,
-        cache=ResultCache(cache_root),
-    )
 
 
 def _calib_progress(args: argparse.Namespace):
@@ -1327,6 +1204,7 @@ def _parse_workload_arg(text: str, args: argparse.Namespace):
     """``NAME[:THREADS[:SCALE]]`` → WorkloadSpec with the shared flags."""
     from repro.calib import WorkloadSpec
     from repro.calib.measure import DEFAULT_SEED
+    from repro.core.errors import CalibrationError
 
     name, _, rest = text.partition(":")
     threads_s, _, scale_s = rest.partition(":")
@@ -1340,37 +1218,64 @@ def _parse_workload_arg(text: str, args: argparse.Namespace):
             runs=args.runs,
         )
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad workload spec {text!r}: {exc}")
+        raise CalibrationError(f"bad workload spec {text!r}: {exc}")
 
 
+@_command(
+    "calibrate", "fit the cost model to measured runs, write a profile",
+    *_ENGINE,
+    _arg(
+        "-o", "--output", default="profiles/default.json", metavar="PATH",
+        help="where to write the profile (default: profiles/default.json)",
+    ),
+    _arg(
+        "--workload", action="append", default=None,
+        metavar="NAME[:THREADS[:SCALE]]",
+        help="add a workload to the suite (repeatable; default: the "
+        "stock synthetic+prodcons suite)",
+    ),
+    _cpus([2, 4, 8]),
+    _arg(
+        "--seed", type=int, default=None,
+        help="program seed for the suite's measured runs",
+    ),
+    _arg(
+        "--runs", type=int, default=5,
+        help="ground-truth runs per cell, median reported (default: 5)",
+    ),
+    _arg(
+        "--max-evals", type=int, default=80,
+        help="objective evaluation budget for the fit (default: 80)",
+    ),
+    _arg(
+        "--cv-folds", type=int, default=0, metavar="K",
+        help="k-fold cross-validation across workloads "
+        "(0 = leave-one-out, the default)",
+    ),
+    _arg("--no-cv", action="store_true", help="skip cross-validation"),
+    _QUIET,
+)
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     """Exit status: 0 — profile written; 2 — the suite cannot be
     measured or the fit failed."""
     from dataclasses import replace as dc_replace
 
     from repro.calib import calibrate, default_suite, format_error_table
-    from repro.core.errors import CalibrationError
 
-    try:
-        if args.workload:
-            specs = [_parse_workload_arg(w, args) for w in args.workload]
-        else:
-            specs = default_suite()
-            specs = [
-                dc_replace(
-                    s,
-                    cpus=tuple(args.cpus),
-                    runs=args.runs,
-                    **({"seed": args.seed} if args.seed is not None else {}),
-                )
-                for s in specs
-            ]
-    except (argparse.ArgumentTypeError, CalibrationError) as exc:
-        print(f"calibrate: {exc}", file=sys.stderr)
-        return 2
+    if args.workload:
+        specs = [_parse_workload_arg(w, args) for w in args.workload]
+    else:
+        specs = [
+            dc_replace(
+                s,
+                cpus=tuple(args.cpus),
+                runs=args.runs,
+                **({"seed": args.seed} if args.seed is not None else {}),
+            )
+            for s in default_suite()
+        ]
 
-    engine = _engine_from_flags(args)
-    try:
+    with _engine(args) as engine:
         profile = calibrate(
             specs,
             engine=engine,
@@ -1378,11 +1283,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             cv_folds=None if args.no_cv else args.cv_folds,
             progress=_calib_progress(args),
         )
-    except CalibrationError as exc:
-        print(f"calibrate: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        engine.close()
 
     path = profile.save(args.output)
     print(format_error_table(profile.error_table))
@@ -1400,12 +1300,38 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "validate", "re-measure a profile's suite and gate on the error budget",
+    *_ENGINE,
+    _arg(
+        "--profile", required=True, metavar="PATH",
+        help="calibration profile to validate (from 'vppb calibrate')",
+    ),
+    _arg(
+        "--budget", type=float, default=None, metavar="FRAC",
+        help="per-cell |error| budget (default: 0.062, the paper's "
+        "worst Table 1 cell)",
+    ),
+    _arg(
+        "--drift-tolerance", type=float, default=None, metavar="FRAC",
+        help="allowed |fresh - recorded| error before a cell counts as drift",
+    ),
+    _format("table", "json"),
+    _arg(
+        "-o", "--output", default=None, metavar="PATH",
+        help="also write the JSON report here (the CI artifact)",
+    ),
+    _arg(
+        "--attribute", action="store_true",
+        help="break the worst cell's gap down by thread phase "
+        "(running/runnable/blocked/sleeping)",
+    ),
+    _QUIET,
+)
 def _cmd_validate(args: argparse.Namespace) -> int:
     """Exit status: 0 — within budget, no drift; 1 — drift (the fresh
     error table left the profile's recorded one); 2 — over the error
     budget, or the profile/suite is unusable."""
-    import json as json_mod
-
     from repro.calib import (
         DEFAULT_DRIFT_TOLERANCE,
         DEFAULT_ERROR_BUDGET,
@@ -1413,16 +1339,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         format_validation,
         validate,
     )
-    from repro.core.errors import CalibrationError
 
-    try:
-        profile = CalibrationProfile.load(args.profile)
-    except CalibrationError as exc:
-        print(f"validate: {exc}", file=sys.stderr)
-        return 2
-
-    engine = _engine_from_flags(args)
-    try:
+    profile = CalibrationProfile.load(args.profile)
+    with _engine(args) as engine:
         report = validate(
             profile,
             profile_path=str(args.profile),
@@ -1437,32 +1356,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             ),
             progress=_calib_progress(args),
         )
-    except CalibrationError as exc:
-        print(f"validate: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        engine.close()
 
-    if args.format == "json":
-        print(json_mod.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_validation(report))
+    document = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    print(document if args.format == "json" else format_validation(report))
 
     if args.attribute:
         _print_attribution(profile, report)
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json_mod.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
+        _write_report(args, document)
     return report.exit_code
 
 
-def _print_attribution(profile, report) -> int:
+def _print_attribution(profile, report) -> None:
     """Phase breakdown of the worst cell's real-vs-predicted gap."""
     from repro.analysis.compare import attribute_error, format_attribution
+    from repro.core.config import SimConfig
+    from repro.core.predictor import predict
     from repro.program.mpexec import run_multiprocessor
+    from repro.program.uniexec import record_program
     from repro.workloads import get_workload
 
     worst = report.worst
@@ -1474,8 +1386,6 @@ def _print_attribution(profile, report) -> int:
         workload.make_program(spec.threads, spec.scale, seed=spec.seed),
         config,
     )
-    from repro.program.uniexec import record_program
-
     recording = record_program(
         workload.make_program(spec.threads, spec.scale, seed=spec.seed),
         overhead_us=spec.probe_overhead_us,
@@ -1486,9 +1396,30 @@ def _print_attribution(profile, report) -> int:
         f"error {worst.error:+.2%}):"
     )
     print(format_attribution(attribute_error(real, predicted)))
-    return 0
 
 
+@_command(
+    "calibrate-analytic",
+    "fit the analytic tier's interval margins against the DES",
+    *_ENGINE,
+    _arg(
+        "-o", "--output", default="profiles/analytic.json", metavar="PATH",
+        help="where to write the profile (default: profiles/analytic.json)",
+    ),
+    _cpus([1, 2, 4, 8]),
+    _arg(
+        "--pad", type=float, default=None, metavar="FRAC",
+        help="safety pad beyond the observed model-error range; wider "
+        "brackets mean fewer bound violations off-suite but more "
+        "escalations (default: 0.02)",
+    ),
+    _arg(
+        "--verify", metavar="PATH", default=None,
+        help="instead of fitting, re-check that PATH's intervals bracket "
+        "the DES on its own suite (exit 1 on violations)",
+    ),
+    _QUIET,
+)
 def _cmd_calibrate_analytic(args: argparse.Namespace) -> int:
     """Exit status: 0 — profile written (or --verify clean); 1 — --verify
     found bracket violations; 2 — calibration failed."""
@@ -1498,10 +1429,8 @@ def _cmd_calibrate_analytic(args: argparse.Namespace) -> int:
         calibrate_analytic,
         verify_profile,
     )
-    from repro.core.errors import CalibrationError
 
-    engine = _engine_from_flags(args)
-    try:
+    with _engine(args) as engine:
         if args.verify:
             profile = AnalyticProfile.load(args.verify)
             violations = verify_profile(
@@ -1526,11 +1455,6 @@ def _cmd_calibrate_analytic(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             progress=_calib_progress(args),
         )
-    except CalibrationError as exc:
-        print(f"calibrate-analytic: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        engine.close()
 
     path = profile.save(args.output)
     print(
@@ -1540,6 +1464,7 @@ def _cmd_calibrate_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("workloads", "list bundled workloads")
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     from repro.workloads import all_workloads
 
@@ -1548,38 +1473,17 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "record": _cmd_record,
-    "predict": _cmd_predict,
-    "visualize": _cmd_visualize,
-    "report": _cmd_report,
-    "batch": _cmd_batch,
-    "serve": _cmd_serve,
-    "client": _cmd_client,
-    "stats": _cmd_stats,
-    "knee": _cmd_knee,
-    "whatif": _cmd_whatif,
-    "compare": _cmd_compare,
-    "doctor": _cmd_doctor,
-    "lint": _cmd_lint,
-    "calibrate": _cmd_calibrate,
-    "calibrate-analytic": _cmd_calibrate_analytic,
-    "validate": _cmd_validate,
-    "workloads": _cmd_workloads,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.core.errors import VppbError
 
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except VppbError as exc:
-        # a command let a library error escape (bad profile on --profile,
-        # unmonitorable workload, ...): report it, don't traceback
-        print(f"vppb {args.command}: {exc}", file=sys.stderr)
-        return 2
+        # a library error escaped the command (bad manifest or profile,
+        # unmonitorable workload, failed fit, ...): report it, don't
+        # traceback
+        return _fail(args, exc)
     except BrokenPipeError:
         # output piped into a pager/head that closed early — not an error
         try:
