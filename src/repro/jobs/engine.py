@@ -44,6 +44,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.jobs.cache import ResultCache
@@ -191,12 +192,23 @@ class JobEngine:
     def _submit(
         self, job: SimJob, fingerprint: str, budget: Optional[Budget]
     ) -> Future:
-        """Submit under backpressure; the slot frees when the job ends."""
+        """Submit under backpressure; the slot frees when the job ends.
+
+        A pool that a sibling job broke, and that nobody has discarded
+        yet, refuses the submit with :class:`BrokenProcessPool`; the job
+        then gets an already-failed future, so :meth:`_collect` rebuilds
+        the pool and retries it like any other crash.
+        """
         self._slots.acquire()
         try:
             future = self._get_pool().submit(
                 run_payload, self._payload(job, fingerprint, budget)
             )
+        except BrokenProcessPool as exc:
+            self._slots.release()
+            future = Future()
+            future.set_exception(exc)
+            return future
         except BaseException:
             self._slots.release()
             raise
@@ -249,6 +261,9 @@ class JobEngine:
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()
+                if attempts > 1:
+                    # the worker counts its own run only
+                    outcome = replace(outcome, attempts=attempts)
                 return outcome
 
     def run(

@@ -17,6 +17,7 @@ import http.client
 import json
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -292,6 +293,59 @@ class TestEngineBreaker:
         assert outcomes[0].status == JobOutcome.CRASHED
         assert engine.breaker.state == "open"
         assert engine.snapshot()["breaker"]["state"] == "open"
+
+
+class _BrokenOnSubmit:
+    """A pool a sibling job has broken: ``submit`` raises synchronously."""
+
+    def submit(self, fn, *args, **kwargs):
+        raise BrokenProcessPool("A child process terminated abruptly")
+
+    def shutdown(self, wait=True):
+        pass
+
+
+class _CountingBreaker(CircuitBreaker):
+    def __init__(self):
+        super().__init__(failure_threshold=4, cooldown_s=60.0)
+        self.failures = 0
+
+    def record_failure(self):
+        self.failures += 1
+        super().record_failure()
+
+
+class TestEngineSubmitOnBrokenPool:
+    def test_one_refused_submit_is_retried_on_a_fresh_pool(self, trace):
+        breaker = _CountingBreaker()
+        engine = JobEngine(
+            mode="process", workers=1, breaker=breaker, retry_sleep=lambda s: None
+        )
+        engine._pool = _BrokenOnSubmit()
+        job = SimJob.for_trace(trace, SimConfig(cpus=2), label="cell")
+        try:
+            outcomes = engine.run([job], use_cache=False)
+        finally:
+            engine.close()
+        assert outcomes[0].ok and outcomes[0].complete
+        assert outcomes[0].attempts == 2
+        assert breaker.failures == 1
+        assert engine.metrics.worker_crashes == 1
+        assert engine.metrics.retries == 1
+
+    def test_every_submit_refused_is_a_crashed_outcome(self, trace):
+        breaker = _CountingBreaker()
+        engine = JobEngine(
+            mode="process", workers=1, breaker=breaker, retry_sleep=lambda s: None
+        )
+        broken = _BrokenOnSubmit()
+        engine._get_pool = lambda: broken
+        job = SimJob.for_trace(trace, SimConfig(cpus=2), label="cell")
+        outcomes = engine.run([job], use_cache=False)
+        engine.close()
+        assert outcomes[0].status == JobOutcome.CRASHED
+        assert outcomes[0].attempts == 2
+        assert breaker.failures == 2
 
 
 # ----------------------------------------------------------------------
