@@ -10,6 +10,11 @@ The Simulator's product is everything the Visualizer needs (§3.3):
   the content of the event popup;
 * **thread summaries** — start/end/work/total times per thread (popup); and
 * machine-level accounting (makespan, per-CPU busy time).
+
+A prediction needs only the makespan, so the run records the timeline
+as raw rows (:class:`ResultBuilder`) and :class:`SimulationResult`
+assembles segments, events, summaries and busy time the first time one
+of them is read.  That assembly lives here and nowhere else.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.core.config import SimConfig
 from repro.core.events import Primitive, SourceLocation, Status
 from repro.core.ids import SyncObjectId, ThreadId
+from repro.solaris.thread_model import ThreadState
 
 __all__ = [
     "SegmentKind",
@@ -174,24 +180,165 @@ class ThreadSummary:
         return self.end_us - self.start_us
 
 
-@dataclass
+class _Timeline(NamedTuple):
+    """The Visualizer's view of a run, assembled from its raw rows."""
+
+    segments: Dict[ThreadId, List[ThreadSegment]]
+    events: List[PlacedEvent]
+    summaries: Dict[ThreadId, ThreadSummary]
+    cpu_busy_us: List[int]
+
+
+#: keyed by the member's value: a str hashes in C, while hashing an
+#: Enum member runs ``Enum.__hash__`` in Python on every row
+_SEGMENT_OF = {
+    ThreadState.RUNNABLE.value: SegmentKind.RUNNABLE,
+    ThreadState.RUNNING.value: SegmentKind.RUNNING,
+    ThreadState.BLOCKED.value: SegmentKind.BLOCKED,
+    ThreadState.SLEEPING.value: SegmentKind.SLEEPING,
+    ThreadState.ZOMBIE.value: None,
+    ThreadState.DEAD.value: None,
+}
+
+
+def _assemble(
+    cpus: int,
+    makespan_us: int,
+    flips: List[tuple],
+    rows: List[tuple],
+    threads: List[tuple],
+) -> _Timeline:
+    """Turn a run's raw rows into its timeline (see :class:`ResultBuilder`
+    for the row shapes).
+
+    Each flip closes the thread's open segment and opens the next, so a
+    thread's segments are contiguous and non-overlapping.  Zero-length
+    segments are dropped; segments still open are closed at the makespan
+    and counted in the CPU busy time.  A thread's ``work_us`` sums the
+    RUNNING stretches a flip closed, so a stretch still open when a
+    partial run stopped is not counted.  Events are ordered by start
+    time, then by the order they were placed.
+    """
+    running = SegmentKind.RUNNING
+    running_state = ThreadState.RUNNING
+    segments: Dict[ThreadId, List[ThreadSegment]] = {}
+    busy = [0] * cpus
+    work: Dict[ThreadId, int] = {}
+    open_segs: Dict[ThreadId, Tuple[SegmentKind, int, Optional[int]]] = {}
+    for tid, state, now, cpu in flips:
+        open_seg = open_segs.pop(tid, None)
+        if open_seg is not None:
+            kind, start_us, on = open_seg
+            if now > start_us:
+                # the key exists: it was created when the segment opened
+                segments[tid].append(ThreadSegment(tid, kind, start_us, now, on))
+            if kind is running:
+                if on is not None:
+                    busy[on] += now - start_us
+                if state is not running_state:
+                    work[tid] = work.get(tid, 0) + now - start_us
+        kind = _SEGMENT_OF[state._value_]
+        if kind is not None:
+            open_segs[tid] = (kind, now, cpu)
+            if tid not in segments:
+                segments[tid] = []
+    for tid, (kind, start_us, on) in open_segs.items():
+        if makespan_us > start_us:
+            segments[tid].append(ThreadSegment(tid, kind, start_us, makespan_us, on))
+        if kind is running and on is not None:
+            busy[on] += makespan_us - start_us
+    # rows are appended in placement order, so a stable sort on start_us
+    # (row field 2) orders by (start_us, placement order)
+    rows.sort(key=operator.itemgetter(2))
+    events = [PlacedEvent(i, *row) for i, row in enumerate(rows)]
+    summaries = {
+        tid: ThreadSummary(
+            tid, func_name, created_at_us, start_us, end_us, work.get(tid, 0)
+        )
+        for tid, func_name, created_at_us, start_us, end_us in threads
+    }
+    return _Timeline(segments, events, summaries, busy)
+
+
 class SimulationResult:
     """Everything produced by one simulated execution.
+
+    ``makespan_us``, ``engine_events`` and ``incompleteness`` are set
+    when the run ends.  The timeline the Visualizer draws —
+    ``segments``, ``events``, ``summaries`` and ``cpu_busy_us`` — is
+    assembled from the run's raw rows the first time any of them is
+    read, once; the rows are released then.  A prediction that reads
+    only the makespan never pays for the timeline.
 
     ``incompleteness`` is None for a run that finished; a partial run
     (watchdog stop, deadlock, divergence — see :class:`RunStatus`)
     carries its diagnosis here and every collection covers only the
     simulated time actually reached.
+
+    Results compare by value, timelines included.
     """
 
-    config: SimConfig
-    makespan_us: int
-    segments: Dict[ThreadId, List[ThreadSegment]]
-    events: List[PlacedEvent]
-    summaries: Dict[ThreadId, ThreadSummary]
-    cpu_busy_us: List[int]
-    engine_events: int = 0
-    incompleteness: Optional[Incompleteness] = None
+    def __init__(
+        self,
+        config: SimConfig,
+        makespan_us: int,
+        *,
+        flips: List[tuple],
+        rows: List[tuple],
+        threads: List[tuple],
+        engine_events: int = 0,
+        incompleteness: Optional[Incompleteness] = None,
+    ):
+        self.config = config
+        self.makespan_us = makespan_us
+        self.engine_events = engine_events
+        self.incompleteness = incompleteness
+        #: (flips, rows, threads) until the timeline is built
+        self._raw: Optional[tuple] = (flips, rows, threads)
+        self._built: Optional[_Timeline] = None
+
+    def _timeline(self) -> _Timeline:
+        built = self._built
+        if built is None:
+            flips, rows, threads = self._raw  # type: ignore[misc]
+            built = self._built = _assemble(
+                self.config.cpus, self.makespan_us, flips, rows, threads
+            )
+            self._raw = None
+        return built
+
+    @property
+    def segments(self) -> Dict[ThreadId, List[ThreadSegment]]:
+        return self._timeline().segments
+
+    @property
+    def events(self) -> List[PlacedEvent]:
+        return self._timeline().events
+
+    @property
+    def summaries(self) -> Dict[ThreadId, ThreadSummary]:
+        return self._timeline().summaries
+
+    @property
+    def cpu_busy_us(self) -> List[int]:
+        return self._timeline().cpu_busy_us
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationResult):
+            return NotImplemented
+        return (
+            self.config == other.config
+            and self.makespan_us == other.makespan_us
+            and self.engine_events == other.engine_events
+            and self.incompleteness == other.incompleteness
+            and self._timeline() == other._timeline()
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SimulationResult(makespan_us={self.makespan_us}, "
+            f"status={self.status.value}, engine_events={self.engine_events})"
+        )
 
     # ------------------------------------------------------------------
 
@@ -228,47 +375,28 @@ class SimulationResult:
 
 
 class ResultBuilder:
-    """Accumulates scheduler/simulator notifications into a result.
+    """Collects a run's raw timeline rows and hands them to its result.
 
-    The scheduler reports raw state *transitions*; the builder closes the
-    previous open segment for the thread and opens the next, so segment
-    lists are guaranteed contiguous and non-overlapping per thread.
+    Two append-only logs, filled on the replay hot path without a call
+    frame per row:
+
+    * :attr:`flips` — one ``(tid, state, time_us, cpu)`` row per
+      thread-state change (a :class:`~repro.solaris.thread_model.ThreadState`;
+      ``cpu`` is set for RUNNING), appended by the scheduler;
+    * :attr:`event_rows` — one row of :class:`PlacedEvent` fields minus
+      the leading index per simulated library call, appended by the
+      Simulator (the NamedTuple is built once, with its final timeline
+      index, when the timeline is assembled).
+
+    :meth:`build` gives both logs to the :class:`SimulationResult`, which
+    assembles segments, events, summaries and CPU busy time only when
+    they are read.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self._segments: Dict[ThreadId, List[ThreadSegment]] = {}
-        self._open: Dict[ThreadId, Tuple[SegmentKind, int, Optional[int]]] = {}
-        #: event rows (PlacedEvent fields minus the leading index), kept as
-        #: plain tuples until build() — constructing the NamedTuple once,
-        #: with the final timeline index, halves per-event build cost
-        self._events: List[tuple] = []
-        self._cpu_busy: List[int] = [0] * config.cpus
-
-    # -- notifications from the scheduler/simulator ----------------------
-
-    def thread_condition(
-        self,
-        tid: ThreadId,
-        kind: Optional[SegmentKind],
-        time_us: int,
-        cpu: Optional[int] = None,
-    ) -> None:
-        """Thread *tid* enters *kind* at *time_us* (None = disappears)."""
-        open_seg = self._open.pop(tid, None)
-        if open_seg is not None:
-            prev_kind, start_us, prev_cpu = open_seg
-            if time_us > start_us:
-                # the key exists: it was created when the segment opened
-                self._segments[tid].append(
-                    ThreadSegment(tid, prev_kind, start_us, time_us, prev_cpu)
-                )
-            if prev_kind is SegmentKind.RUNNING and prev_cpu is not None:
-                self._cpu_busy[prev_cpu] += time_us - start_us
-        if kind is not None:
-            self._open[tid] = (kind, time_us, cpu)
-            if tid not in self._segments:
-                self._segments[tid] = []
+        self.flips: Optional[List[tuple]] = []
+        self.event_rows: Optional[List[tuple]] = []
 
     def event_placed(
         self,
@@ -283,35 +411,32 @@ class ResultBuilder:
         status: Optional[Status] = None,
         source: Optional[SourceLocation] = None,
     ) -> None:
-        self._events.append(
+        self.event_rows.append(
             (tid, primitive, start_us, end_us, cpu, obj, target, status, source)
         )
-
-    # -- finalisation ------------------------------------------------------
 
     def build(
         self,
         *,
         makespan_us: int,
-        summaries: Dict[ThreadId, ThreadSummary],
+        threads: List[tuple],
         engine_events: int = 0,
         incompleteness: Optional[Incompleteness] = None,
     ) -> SimulationResult:
-        # Close any segment still open at the end of the run.
-        for tid in list(self._open):
-            self.thread_condition(tid, None, makespan_us)
-        # timeline order = (start_us, append order); rows are appended in
-        # order, so a stable sort on start_us (row field 2) is equivalent
-        rows = self._events
-        rows.sort(key=operator.itemgetter(2))
-        events = [PlacedEvent(i, *row) for i, row in enumerate(rows)]
-        return SimulationResult(
-            config=self.config,
-            makespan_us=makespan_us,
-            segments=self._segments,
-            events=events,
-            summaries=summaries,
-            cpu_busy_us=self._cpu_busy,
+        """Hand the logs to the run's result; the builder keeps nothing.
+
+        *threads* holds one ``(tid, func_name, created_at_us, start_us,
+        end_us)`` row per thread, in summary order; the result adds each
+        thread's ``work_us`` from the flips.
+        """
+        result = SimulationResult(
+            self.config,
+            makespan_us,
+            flips=self.flips,
+            rows=self.event_rows,
+            threads=threads,
             engine_events=engine_events,
             incompleteness=incompleteness,
         )
+        self.flips = self.event_rows = None
+        return result

@@ -50,7 +50,6 @@ from repro.core.result import (
     ResultBuilder,
     RunStatus,
     SimulationResult,
-    ThreadSummary,
 )
 from repro.program import ops as op_mod
 from repro.program.behavior import LiveBehavior, Step, ThreadBehavior
@@ -416,23 +415,20 @@ class Simulator:
                     primitive=Primitive.END_COLLECT,
                 )
             )
-        summaries = {
-            t.tid: ThreadSummary(
-                tid=t.tid,
-                func_name=t.func_name,
-                created_at_us=t.created_at_us,
-                start_us=t.start_time_us,
-                end_us=t.end_time_us,
-                work_us=t.cpu_time_us,
-            )
-            for t in self.threads.values()
-        }
-        return self.builder.build(
+        result = self.builder.build(
             makespan_us=makespan,
-            summaries=summaries,
+            threads=[
+                (t.tid, t.func_name, t.created_at_us, t.start_time_us, t.end_time_us)
+                for t in self.threads.values()
+            ],
             engine_events=self.engine.events_executed,
             incompleteness=incompleteness,
         )
+        # the result owns the raw rows now: unbind the hot paths' aliases,
+        # so this Simulator's reference cycles, which only the cyclic
+        # collector frees, do not keep them alive after the result dies
+        self._ev_list = self.scheduler._flips = None
+        return result
 
     # ==================================================================
     # graceful degradation (strict=False)
@@ -605,7 +601,7 @@ class Simulator:
         )
         # pre-bound hot collaborators (one attribute hop per step instead
         # of two or three)
-        self._ev_list = self.builder._events
+        self._ev_list = self.builder.event_rows
         self._begin_burst = self.scheduler.begin_burst_fast
         self._sched_pending = self.scheduler._switch_cost_pending
         self._sched_bursts = self.scheduler._burst_events

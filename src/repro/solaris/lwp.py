@@ -77,7 +77,6 @@ class SimLwp:
     runnable_since_us: int = 0
 
     # --- accounting ---------------------------------------------------
-    cpu_time_us: int = 0
     dispatches: int = 0
     quantum_expiries: int = 0
 

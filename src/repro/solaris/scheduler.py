@@ -31,9 +31,12 @@ delivered after the configured communication delay (§3.2: the delay
 "affects how fast an event on one CPU is propagated to another CPU").
 
 The scheduler is driven by, and reports to, the Simulator through the
-narrow :class:`SchedulerListener` protocol; it records every thread-state
-transition into the :class:`~repro.core.result.ResultBuilder` so the
-Visualizer can draw the §3.3 graphs.
+narrow :class:`SchedulerListener` protocol.  It records every thread-state
+transition as one raw ``(tid, state, time, cpu)`` row in the
+:class:`~repro.core.result.ResultBuilder`'s flip log and does no
+accounting of its own: the result turns the log into the §3.3 graphs'
+segments, per-CPU busy time and per-thread work only when the
+Visualizer (or anything else) reads them.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine, ScheduledEvent
 from repro.core.errors import SimulationError
 from repro.core.ids import LwpId
-from repro.core.result import ResultBuilder, SegmentKind, ThreadSegment
+from repro.core.result import ResultBuilder
 from repro.sched import create_backend
 from repro.sched.base import SchedulerBackend
 from repro.solaris.lwp import LwpState, SimLwp
@@ -92,18 +95,6 @@ class SimCpu:
         return f"<CPU{self.index} {'idle' if self.idle else repr(self.lwp)}>"
 
 
-#: keyed by the member's value: a str hashes in C, while hashing an
-#: Enum member runs ``Enum.__hash__`` in Python on every state flip
-_STATE_TO_SEGMENT = {
-    ThreadState.RUNNABLE.value: SegmentKind.RUNNABLE,
-    ThreadState.RUNNING.value: SegmentKind.RUNNING,
-    ThreadState.BLOCKED.value: SegmentKind.BLOCKED,
-    ThreadState.SLEEPING.value: SegmentKind.SLEEPING,
-    ThreadState.ZOMBIE.value: None,
-    ThreadState.DEAD.value: None,
-}
-
-
 class Scheduler:
     """Simulated two-level scheduling of threads on LWPs on CPUs."""
 
@@ -116,7 +107,9 @@ class Scheduler:
     ):
         self.engine = engine
         self.config = config
-        self.builder = builder
+        #: the builder's flip log; the Simulator unbinds it once the
+        #: result owns the log
+        self._flips: Optional[list] = builder.flips
         self.listener = listener
         self.dispatch_table = config.dispatch
         self.costs = config.costs
@@ -169,7 +162,6 @@ class Scheduler:
         # transient bookkeeping -------------------------------------------
         self._burst_events: Dict[int, Tuple[ScheduledEvent, int]] = {}
         self._quantum_events: Dict[int, Tuple[ScheduledEvent, int]] = {}
-        self._running_since: Dict[int, int] = {}
         self._switch_cost_pending: Dict[int, int] = {}
         #: dispatch deferral depth: >0 while an operation is being applied
         self._atomic_depth = 0
@@ -250,31 +242,11 @@ class Scheduler:
     def _set_thread_state(
         self, thread: SimThread, state: ThreadState, cpu: Optional[int] = None
     ) -> None:
-        now = self.engine.now_us
-        tid = thread.tid
-        if thread.state is _RUNNING and state is not _RUNNING:
-            since = self._running_since.pop(tid, now)
-            thread.cpu_time_us += now - since
-        if state is _RUNNING:
-            self._running_since[tid] = now
+        """Single point for thread-state flips: one raw row in the flip
+        log, from which the result assembles segments, busy time and
+        per-thread work when they are read."""
         thread.state = state
-        kind = _STATE_TO_SEGMENT[state._value_]
-        # inlined ResultBuilder.thread_condition — every state flip lands
-        # here, and the extra call frame was measurable on replay profiles
-        b = self.builder
-        open_seg = b._open.pop(tid, None)
-        if open_seg is not None:
-            prev_kind, start_us, prev_cpu = open_seg
-            if now > start_us:
-                b._segments[tid].append(
-                    ThreadSegment(tid, prev_kind, start_us, now, prev_cpu)
-                )
-            if prev_kind is SegmentKind.RUNNING and prev_cpu is not None:
-                b._cpu_busy[prev_cpu] += now - start_us
-        if kind is not None:
-            b._open[tid] = (kind, now, cpu)
-            if tid not in b._segments:
-                b._segments[tid] = []
+        self._flips.append((thread.tid, state, self.engine.now_us, cpu))
 
     # ------------------------------------------------------------------
     # atomic sections (operation application must not be preempted)

@@ -4,8 +4,10 @@ In Solaris 2.x (§3.2 of the paper) application programmers express
 parallelism with *user-level threads*, which are multiplexed on LWPs unless
 bound.  This module holds the simulated thread object: identity, scheduling
 attributes (priority, boundness, CPU binding), lifecycle state, and the
-accounting the Visualizer's event popup reports (start/end time, time spent
-actually working, total lifetime).
+times the Visualizer's event popup reports (start/end time, total
+lifetime).  The time a thread spent actually working is not kept here:
+:class:`~repro.core.result.SimulationResult` sums it from the run's
+thread-state flips when its summaries are read.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class SimThread:
     # --- accounting for the Visualizer popup (§3.3) ------------------------
     start_time_us: Optional[int] = None
     end_time_us: Optional[int] = None
-    cpu_time_us: int = 0
     created_at_us: int = 0
 
     #: Time at which the thread last entered the RUNNABLE state (for

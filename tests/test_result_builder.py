@@ -12,10 +12,21 @@ from repro.core.result import (
     ThreadSegment,
     ThreadSummary,
 )
+from repro.solaris.thread_model import ThreadState
 
 
 def make_builder(cpus=2):
     return ResultBuilder(SimConfig(cpus=cpus))
+
+
+def flip(b, tid, state, time_us, cpu=None):
+    """One thread-state change, as the scheduler logs it."""
+    b.flips.append((tid, state, time_us, cpu))
+
+
+def thread(tid):
+    """One thread's build() row: (tid, func_name, created, start, end)."""
+    return (ThreadId(tid), "f", 0, 0, 100)
 
 
 def summary(tid, **kw):
@@ -35,10 +46,10 @@ class TestSegments:
     def test_transitions_close_previous_segment(self):
         b = make_builder()
         tid = ThreadId(4)
-        b.thread_condition(tid, SegmentKind.RUNNABLE, 0)
-        b.thread_condition(tid, SegmentKind.RUNNING, 10, cpu=1)
-        b.thread_condition(tid, SegmentKind.BLOCKED, 30)
-        res = b.build(makespan_us=50, summaries={tid: summary(4)})
+        flip(b, tid, ThreadState.RUNNABLE, 0)
+        flip(b, tid, ThreadState.RUNNING, 10, cpu=1)
+        flip(b, tid, ThreadState.BLOCKED, 30)
+        res = b.build(makespan_us=50, threads=[thread(4)])
         kinds = [(s.kind, s.start_us, s.end_us) for s in res.segments[tid]]
         assert kinds == [
             (SegmentKind.RUNNABLE, 0, 10),
@@ -49,21 +60,21 @@ class TestSegments:
     def test_zero_length_segments_dropped(self):
         b = make_builder()
         tid = ThreadId(4)
-        b.thread_condition(tid, SegmentKind.RUNNABLE, 5)
-        b.thread_condition(tid, SegmentKind.RUNNING, 5, cpu=0)
-        b.thread_condition(tid, None, 20)
-        res = b.build(makespan_us=20, summaries={tid: summary(4)})
+        flip(b, tid, ThreadState.RUNNABLE, 5)
+        flip(b, tid, ThreadState.RUNNING, 5, cpu=0)
+        flip(b, tid, ThreadState.ZOMBIE, 20)
+        res = b.build(makespan_us=20, threads=[thread(4)])
         assert [s.kind for s in res.segments[tid]] == [SegmentKind.RUNNING]
 
     def test_cpu_busy_accounting(self):
         b = make_builder(cpus=2)
         t4, t5 = ThreadId(4), ThreadId(5)
-        b.thread_condition(t4, SegmentKind.RUNNING, 0, cpu=0)
-        b.thread_condition(t5, SegmentKind.RUNNING, 0, cpu=1)
-        b.thread_condition(t4, None, 30)
-        b.thread_condition(t5, None, 50)
+        flip(b, t4, ThreadState.RUNNING, 0, cpu=0)
+        flip(b, t5, ThreadState.RUNNING, 0, cpu=1)
+        flip(b, t4, ThreadState.ZOMBIE, 30)
+        flip(b, t5, ThreadState.ZOMBIE, 50)
         res = b.build(
-            makespan_us=50, summaries={t4: summary(4), t5: summary(5)}
+            makespan_us=50, threads=[thread(4), thread(5)]
         )
         assert res.cpu_busy_us == [30, 50]
         assert res.total_cpu_time_us() == 80
@@ -72,8 +83,8 @@ class TestSegments:
     def test_open_segments_closed_at_build(self):
         b = make_builder()
         tid = ThreadId(4)
-        b.thread_condition(tid, SegmentKind.RUNNING, 0, cpu=0)
-        res = b.build(makespan_us=42, summaries={tid: summary(4)})
+        flip(b, tid, ThreadState.RUNNING, 0, cpu=0)
+        res = b.build(makespan_us=42, threads=[thread(4)])
         assert res.segments[tid][-1].end_us == 42
 
     def test_segment_validation(self):
@@ -91,7 +102,7 @@ class TestEvents:
         b.event_placed(
             tid=t4, primitive=Primitive.MUTEX_LOCK, start_us=10, end_us=12, cpu=0
         )
-        res = b.build(makespan_us=60, summaries={t4: summary(4)})
+        res = b.build(makespan_us=60, threads=[thread(4)])
         assert [e.primitive for e in res.events] == [
             Primitive.MUTEX_LOCK,
             Primitive.MUTEX_UNLOCK,
@@ -108,7 +119,7 @@ class TestEvents:
             tid=t5, primitive=Primitive.SEMA_WAIT, start_us=3, end_us=4, cpu=1
         )
         res = b.build(
-            makespan_us=10, summaries={t4: summary(4), t5: summary(5)}
+            makespan_us=10, threads=[thread(4), thread(5)]
         )
         assert [int(e.tid) for e in res.events_for(t4)] == [4]
 
@@ -124,5 +135,5 @@ class TestSummaries:
 
     def test_speedup_vs(self):
         b = make_builder()
-        res = b.build(makespan_us=50, summaries={})
+        res = b.build(makespan_us=50, threads=[])
         assert res.speedup_vs(100) == 2.0
