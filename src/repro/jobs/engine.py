@@ -32,6 +32,11 @@ into :class:`~repro.jobs.model.JobOutcome`, in order, with:
 degenerate pool used for tiny traces, tests, and determinism checks
 (inline, pooled and cached execution must agree bit for bit).
 
+:meth:`JobEngine.call` runs one function that is not a job (the
+service's upload) on a worker under the same backpressure, breaker and
+retry; it raises :class:`PoolUnavailable` where a job would come back
+``breaker-open`` or ``worker-crashed``.
+
 The engine runs jobs and knows nothing of baselines or speed-ups:
 :func:`repro.jobs.manifest.run_grid` pairs a uniprocessor baseline with
 grid cells, and every speed-up question goes through it.
@@ -45,7 +50,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.jobs.cache import ResultCache
 from repro.jobs.metrics import EngineMetrics
@@ -53,10 +58,26 @@ from repro.jobs.model import JobOutcome, SimJob
 from repro.jobs.resilience import CircuitBreaker, backoff_delays
 from repro.jobs.worker import run_payload
 
-__all__ = ["JobEngine", "default_engine"]
+__all__ = ["JobEngine", "PoolUnavailable", "default_engine"]
 
 #: A per-call watchdog budget: (max_events, max_wall_s).
 Budget = Tuple[Optional[int], Optional[float]]
+
+#: What :meth:`JobEngine._await` returns for a call whose worker died
+#: on both attempts.
+_CRASHED = object()
+
+
+class PoolUnavailable(Exception):
+    """A :meth:`JobEngine.call` the pool could not answer.
+
+    The breaker refused it, or its worker died on both attempts.
+    ``retry_after_s`` is when a retry could be admitted.
+    """
+
+    def __init__(self, message: str, *, retry_after_s: float):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class JobEngine:
@@ -189,21 +210,17 @@ class JobEngine:
             label=job.label,
         )
 
-    def _submit(
-        self, job: SimJob, fingerprint: str, budget: Optional[Budget]
-    ) -> Future:
-        """Submit under backpressure; the slot frees when the job ends.
+    def _submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Submit ``fn(*args)`` under backpressure; the slot frees when it ends.
 
         A pool that a sibling job broke, and that nobody has discarded
-        yet, refuses the submit with :class:`BrokenProcessPool`; the job
-        then gets an already-failed future, so :meth:`_collect` rebuilds
+        yet, refuses the submit with :class:`BrokenProcessPool`; the call
+        then gets an already-failed future, so :meth:`_await` rebuilds
         the pool and retries it like any other crash.
         """
         self._slots.acquire()
         try:
-            future = self._get_pool().submit(
-                run_payload, self._payload(job, fingerprint, budget)
-            )
+            future = self._get_pool().submit(fn, *args)
         except BrokenProcessPool as exc:
             self._slots.release()
             future = Future()
@@ -215,19 +232,17 @@ class JobEngine:
         future.add_done_callback(lambda _f: self._slots.release())
         return future
 
-    def _collect(
-        self,
-        job: SimJob,
-        fingerprint: str,
-        future: Future,
-        budget: Optional[Budget],
-    ) -> JobOutcome:
+    def _await(
+        self, future: Future, resubmit: Callable[[], Future]
+    ) -> Tuple[Any, int]:
         """Resolve one future, retrying once across a pool rebuild.
 
-        Rebuild attempts back off with deterministic jitter so a burst
-        of crashing jobs does not hammer pool reconstruction; every
-        crash is reported to the circuit breaker, every normal
-        resolution resets it.
+        Returns ``(result, attempts)``, the result being :data:`_CRASHED`
+        when the worker died on both attempts.  Rebuild attempts back off
+        with deterministic jitter so a burst of crashing jobs does not
+        hammer pool reconstruction; every crash is reported to the
+        circuit breaker, every answer from a live worker (an exception
+        included) resets it.
         """
         attempts = 1
         delays = backoff_delays(
@@ -235,7 +250,7 @@ class JobEngine:
         )
         while True:
             try:
-                outcome = JobOutcome.from_dict(future.result())
+                result = future.result()
             except BrokenProcessPool:
                 if self.breaker is not None:
                     self.breaker.record_failure()
@@ -245,26 +260,77 @@ class JobEngine:
                     self._discard_pool(broken)
                 if attempts >= 2:
                     self.metrics.crashed(retried=False)
-                    return JobOutcome(
-                        fingerprint=fingerprint,
-                        status=JobOutcome.CRASHED,
-                        error="worker crashed twice; job abandoned",
-                        attempts=attempts,
-                        label=job.label,
-                    )
+                    return _CRASHED, attempts
                 self.metrics.crashed(retried=True)
                 attempts += 1
                 delay = next(delays, 0.0)
                 if delay > 0:
                     self._retry_sleep(delay)
-                future = self._submit(job, fingerprint, budget)
+                future = resubmit()
+            except Exception:
+                if self.breaker is not None:
+                    self.breaker.record_success()
+                raise
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()
-                if attempts > 1:
-                    # the worker counts its own run only
-                    outcome = replace(outcome, attempts=attempts)
-                return outcome
+                return result, attempts
+
+    def _collect(
+        self,
+        job: SimJob,
+        fingerprint: str,
+        future: Future,
+        budget: Optional[Budget],
+    ) -> JobOutcome:
+        """Resolve one job; a worker that died twice makes it ``worker-crashed``."""
+        result, attempts = self._await(
+            future,
+            lambda: self._submit(run_payload, self._payload(job, fingerprint, budget)),
+        )
+        if result is _CRASHED:
+            return JobOutcome(
+                fingerprint=fingerprint,
+                status=JobOutcome.CRASHED,
+                error="worker crashed twice; job abandoned",
+                attempts=attempts,
+                label=job.label,
+            )
+        outcome = JobOutcome.from_dict(result)
+        if attempts > 1:
+            # the worker counts its own run only
+            outcome = replace(outcome, attempts=attempts)
+        return outcome
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Return ``fn(*args)``, run on a pool worker under crash containment.
+
+        The call takes a backpressure slot and passes the breaker as a
+        job does, and a worker death is retried once across a pool
+        rebuild.  An inline engine runs it in the calling thread.
+        Raises :class:`PoolUnavailable` when the breaker refuses the
+        call or its worker died on both attempts; an exception *fn*
+        raises reaches the caller.  *fn* and *args* must pickle, and a
+        pooled call blocks its caller while the pool is full: call it
+        from a worker thread, never an event loop.
+        """
+        if self.mode == "inline":
+            return fn(*args)
+        if self.breaker is not None and not self.breaker.allow():
+            self.metrics.breaker_rejected()
+            raise PoolUnavailable(
+                "circuit breaker open after repeated worker crashes",
+                retry_after_s=max(0.1, self.breaker.reject_for() or 0.0),
+            )
+        result, _attempts = self._await(
+            self._submit(fn, *args), lambda: self._submit(fn, *args)
+        )
+        if result is _CRASHED:
+            retry_after = self.breaker.reject_for() if self.breaker else None
+            raise PoolUnavailable(
+                "worker crashed twice", retry_after_s=max(1.0, retry_after or 0.0)
+            )
+        return result
 
     def run(
         self,
@@ -308,7 +374,9 @@ class JobEngine:
                 if self.breaker is not None and not self.breaker.allow():
                     resolved[fp] = self._breaker_open_outcome(job, fp)
                 else:
-                    futures[fp] = self._submit(job, fp, budget)
+                    futures[fp] = self._submit(
+                        run_payload, self._payload(job, fp, budget)
+                    )
                     self.metrics.submitted()
             for fp, future in futures.items():
                 job = jobs[pending[fp][0]]

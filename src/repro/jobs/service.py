@@ -12,12 +12,16 @@ same makespans and speed-ups.
 API (all bodies JSON unless noted):
 
 ``POST /traces``
-    Body: a raw VPPB log file, streamed and salvage-parsed (400 only
-    when nothing is replayable), serialised once to canonical text and
-    spooled under its content fingerprint (the sha256 of the spooled
-    bytes), off the event loop; returns ``{"trace": <fingerprint>,
-    "events": n, "threads": n, ...}`` plus repair counts.  Uploading the
-    same trace twice is idempotent.
+    Body: a raw VPPB log file.  One call on a pool worker
+    (:func:`repro.jobs.worker.ingest_upload`) salvage-parses it (400
+    only when nothing is replayable), serialises it once to canonical
+    text, spools it under its content fingerprint (the sha256 of the
+    spooled bytes) and compiles its replay plan into that worker's plan
+    cache; the service keeps only the fingerprint -> spool path index.
+    Returns ``{"trace": <fingerprint>, "events": n, "threads": n, ...}``
+    plus repair counts; 503 + ``Retry-After`` when the breaker is open
+    or the worker died on both attempts.  Uploading the same trace twice
+    is idempotent.
 ``POST /predict``
     Body: ``{"trace": <fingerprint>}`` (previously uploaded) or
     ``{"log": <raw log text>}`` (one-shot), plus optional ``cpus``
@@ -25,6 +29,7 @@ API (all bodies JSON unless noted):
     ``binding`` (``"unbound"``/``"bound"``) and ``scheduler`` (a
     backend name, default ``"solaris"``).  Returns the speed-up
     predictions; repeated requests are served from the result cache.
+    A fingerprint whose spool file has gone is a 404: upload it again.
     Optional ``tier`` (``"sim"`` default / ``"analytic"`` / ``"auto"``)
     answers cells from the calibrated analytic screen instead of — or,
     for ``auto``, in front of — full simulation; needs the stock
@@ -64,11 +69,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import SimConfig, ThreadPolicy
 from repro.core.errors import AnalysisError, ConfigError, VppbError
 from repro.core.result import RunStatus
-from repro.jobs.engine import JobEngine
-from repro.jobs.fingerprint import canonical_trace
+from repro.jobs.engine import JobEngine, PoolUnavailable
 from repro.jobs.manifest import GridCell, GridRun, curve_cells, grid_int, run_grid
 from repro.jobs.model import JobOutcome, TraceRef
 from repro.jobs.tiering import DEFAULT_TARGET_FRACTION
+from repro.jobs.worker import ingest_upload, spool_path
 
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
@@ -175,46 +180,42 @@ class PredictionService:
 
     # ------------------------------------------------------------------
 
-    def store_salvaged(self, result) -> Dict[str, Any]:
-        """Spool a streamed-and-salvaged upload (a :class:`SalvageResult`).
+    def ingest(self, body: bytes) -> Dict[str, Any]:
+        """Answer one ``POST /traces`` *body* (the raw log bytes).
 
-        The streaming ingest path parses leniently — a damaged log is
-        accepted if anything is replayable, and the response reports
-        every repair count so the client knows what it uploaded.  The
-        trace is serialised once: the spool file holds exactly the
-        canonical bytes its fingerprint hashes.
+        One engine call salvages, spools and compiles the upload on a
+        pool worker (:func:`~repro.jobs.worker.ingest_upload`); an
+        inline engine runs it here.  The salvage is lenient: a damaged
+        log is accepted if anything is replayable, and the response
+        reports every repair count so the client knows what it
+        uploaded.  Blocks while the pool is full, so call it off the
+        event loop.
         """
-        trace = result.trace
-        if len(trace) == 0:
+        try:
+            stored = self.engine.call(ingest_upload, body, str(self.spool_dir))
+        except PoolUnavailable as exc:
+            breaker = self.engine.breaker
             raise ServiceError(
-                400,
-                "nothing salvageable in the uploaded log: "
-                + result.report.summary(),
+                503,
+                f"service unavailable: {exc}; upload again shortly",
+                retry_after_s=exc.retry_after_s,
+                extra={"breaker": breaker.snapshot()} if breaker is not None else None,
             )
-        text, fingerprint = canonical_trace(trace)
-        path = self.spool_dir / f"{fingerprint}.log"
-        if not path.exists():
-            # uploads are stored concurrently: write under a private name
-            # and rename, so a reader never sees a half-written spool file
-            fd, tmp = tempfile.mkstemp(dir=self.spool_dir, suffix=".tmp")
-            with os.fdopen(fd, "wb") as out:
-                out.write(text.encode("utf-8"))
-            os.replace(tmp, path)
+        if "error" in stored:
+            raise ServiceError(400, stored["error"])
+        return self.store_salvaged(stored)
+
+    def store_salvaged(self, stored: Dict[str, Any]) -> Dict[str, Any]:
+        """Index an upload the pool has spooled; *stored* is its response.
+
+        The spool file holds exactly the canonical bytes its fingerprint
+        hashes.
+        """
+        fingerprint = stored["trace"]
         with self._lock:
-            self._traces[fingerprint] = path
+            self._traces[fingerprint] = spool_path(self.spool_dir, fingerprint)
             self.streamed_uploads += 1
-        return {
-            "trace": fingerprint,
-            "events": len(trace),
-            "threads": len(trace.thread_ids()),
-            "program": trace.meta.program,
-            "salvage": {
-                "clean": result.report.clean,
-                "repairs": len(result.report.repairs),
-                "records_kept": result.report.records_kept,
-                "counts": result.report.counts_by_kind(),
-            },
-        }
+        return stored
 
     def _resolve_trace(self, request: Dict[str, Any]) -> Tuple[TraceRef, Any]:
         from repro.recorder import logfile
@@ -232,7 +233,17 @@ class PredictionService:
             path = self._traces.get(fp)
         if path is None:
             raise ServiceError(404, f"unknown trace {fp!r}; POST it to /traces first")
-        trace = logfile.load(path)
+        try:
+            trace = logfile.load(path)
+        except FileNotFoundError:
+            # removed behind the service's back (a tmp cleaner, an
+            # operator); a concurrent re-upload may have restored it
+            with self._lock:
+                if not path.exists():
+                    self._traces.pop(fp, None)
+            raise ServiceError(
+                404, f"trace {fp!r} is no longer spooled; upload it again"
+            )
         return TraceRef(fingerprint=fp, path=str(path)), trace
 
     def _parse_predict(

@@ -25,11 +25,13 @@ hold a connection open forever.
 ``Retry-After`` before any work is queued, and flips ``/healthz/ready``
 so load balancers stop routing here while workers are crash-looping.
 
-*Streaming ingest.*  ``/traces`` feeds the body chunk-by-chunk into a
-:class:`~repro.recorder.salvage.SalvageStream` as it arrives —
-Content-Length or chunked transfer encoding — enforcing the body cap
-mid-stream (``413``) and salvaging damaged logs instead of rejecting
-them outright.
+*Ingest in the pool.*  ``/traces`` reads the body as it arrives —
+Content-Length or chunked transfer encoding — under the body cap
+(``413``, mid-stream for chunked bodies), then hands the raw bytes to
+:meth:`~repro.jobs.service.PredictionService.ingest` on the executor.
+That makes one engine call: a pool worker salvages the log (a damaged
+log is repaired, not rejected), spools it and keeps its compiled plan,
+so the event loop and the server's interpreter do none of that work.
 
 *Graceful shutdown.*  :meth:`AsyncPredictionServer.shutdown` stops
 accepting, lets in-flight requests drain (bounded by
@@ -388,28 +390,14 @@ class AsyncPredictionServer:
         return snapshot
 
     async def _ingest_trace(self, request: _Request, reader) -> Dict[str, Any]:
-        from repro.recorder.salvage import SalvageLimitError, SalvageStream
-
-        stream = SalvageStream(
-            source="upload", max_bytes=self.service.max_body_bytes
-        )
+        chunks = [chunk async for chunk in self._body_chunks(reader, request)]
+        # salvaging, spooling and compiling run on a pool worker; the
+        # engine call blocks while the pool is full, so it is made from
+        # an executor thread, never from the loop
         loop = asyncio.get_running_loop()
-        try:
-            async for chunk in self._body_chunks(reader, request):
-                stream.feed(chunk)
-        except SalvageLimitError as exc:
-            self.service.count_rejected_body()
-            raise ServiceError(
-                413,
-                f"body exceeds the {exc.limit}-byte cap",
-                extra={"cap": exc.limit},
-            )
-        # the final salvage pass re-walks every record, and storing
-        # serialises, hashes and writes the trace: keep both off the loop
-        def finish_and_store() -> Dict[str, Any]:
-            return self.service.store_salvaged(stream.finish())
-
-        return await loop.run_in_executor(self._executor, finish_and_store)
+        return await loop.run_in_executor(
+            self._executor, self.service.ingest, b"".join(chunks)
+        )
 
     async def _predict(self, request: _Request, reader) -> Dict[str, Any]:
         if not self.gate.try_enter():

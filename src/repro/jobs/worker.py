@@ -18,22 +18,30 @@ per *job* is most of the win of batching.  Every result
 dict reports whether its artifacts came from the cache
 (``plan_cache_hits`` / ``plan_cache_misses``, 0-or-1 per job) so
 ``/metrics`` and ``vppb batch`` can show compile amortisation.
+
+:func:`ingest_upload` is the service's ``POST /traces`` body, run in a
+worker too: it salvages, spools and compiles an upload, and leaves the
+plan in that worker's LRU for the replays that follow.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
+import threading
 import time
 from collections import OrderedDict
+from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.engine import Watchdog
 from repro.core.errors import VppbError
 from repro.core.predictor import compile_trace
 from repro.core.simulator import Simulator
+from repro.jobs.fingerprint import canonical_trace
 from repro.jobs.model import TraceRef
 
-__all__ = ["run_payload", "CRASH_SENTINEL", "EXECUTORS"]
+__all__ = ["run_payload", "ingest_upload", "spool_path", "CRASH_SENTINEL", "EXECUTORS"]
 
 #: Trace text that makes the worker die abruptly instead of returning —
 #: the fault-injection hook behind the engine's crash-retry tests.  A
@@ -48,19 +56,30 @@ CACHE_CAPACITY = 4
 #: per process.
 _CACHES: Dict[str, "OrderedDict[str, Any]"] = {}
 
+#: Guards :data:`_CACHES`: an inline engine runs jobs and uploads on
+#: the service's executor threads at once.  Builds run outside it.
+_CACHES_LOCK = threading.Lock()
+
+#: Bytes of an upload fed to the salvage stream at a time, so its line
+#: list never holds more than a slice of a large log.
+UPLOAD_CHUNK = 64 * 1024
+
 #: A kind's answer: (every artifact came from the cache?, result fields).
 Executed = Tuple[bool, Dict[str, Any]]
 
 
 def _cached(sort: str, trace_fp: str, build: Callable[[], Any]) -> Tuple[Any, bool]:
     """Return ``(artifact, cache_hit)`` from the process LRU for *sort*."""
-    cache = _CACHES.setdefault(sort, OrderedDict())
-    if trace_fp in cache:
-        cache.move_to_end(trace_fp)
-        return cache[trace_fp], True
-    artifact = cache[trace_fp] = build()
-    while len(cache) > CACHE_CAPACITY:
-        cache.popitem(last=False)
+    with _CACHES_LOCK:
+        cache = _CACHES.setdefault(sort, OrderedDict())
+        if trace_fp in cache:
+            cache.move_to_end(trace_fp)
+            return cache[trace_fp], True
+    artifact = build()
+    with _CACHES_LOCK:
+        cache[trace_fp] = artifact
+        while len(cache) > CACHE_CAPACITY:
+            cache.popitem(last=False)
     return artifact, False
 
 
@@ -116,6 +135,60 @@ def _run_sim(payload: Dict[str, Any]) -> Executed:
         "makespan_us": result.makespan_us,
         "engine_events": result.engine_events,
         "reason": result.incompleteness.describe() if result.incompleteness else None,
+    }
+
+
+def spool_path(spool_dir: "str | Path", fingerprint: str) -> Path:
+    """Where an uploaded trace is spooled: named by its fingerprint."""
+    return Path(spool_dir) / f"{fingerprint}.log"
+
+
+def ingest_upload(body: bytes, spool_dir: str) -> Dict[str, Any]:
+    """Salvage, spool and compile one ``POST /traces`` body.
+
+    The upload is salvage-parsed, serialised once to canonical text and
+    written atomically to its :func:`spool_path`, so the spool file
+    holds exactly the bytes its fingerprint hashes.  The trace's replay
+    plan goes into this process's plan LRU, where the next replay of it
+    here finds it; a trace that salvages but does not compile is still
+    spooled, and its replays fail as they would have.
+
+    Returns the upload's response body, or ``{"error": ...}`` when
+    nothing in the body is replayable.
+    """
+    from repro.recorder.salvage import SalvageStream
+
+    stream = SalvageStream(source="upload")
+    for start in range(0, len(body), UPLOAD_CHUNK):
+        stream.feed(body[start:start + UPLOAD_CHUNK])
+    result = stream.finish()
+    trace, report = result.trace, result.report
+    if len(trace) == 0:
+        return {"error": "nothing salvageable in the uploaded log: " + report.summary()}
+    text, fingerprint = canonical_trace(trace)
+    path = spool_path(spool_dir, fingerprint)
+    if not path.exists():
+        # uploads are stored concurrently: write under a private name
+        # and rename, so a reader never sees a half-written spool file
+        fd, tmp = tempfile.mkstemp(dir=spool_dir, suffix=".tmp")
+        with os.fdopen(fd, "wb") as out:
+            out.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    try:
+        _cached("plan", fingerprint, lambda: compile_trace(trace))
+    except VppbError:
+        pass  # no plan to keep; the trace's own jobs report why
+    return {
+        "trace": fingerprint,
+        "events": len(trace),
+        "threads": len(trace.thread_ids()),
+        "program": trace.meta.program,
+        "salvage": {
+            "clean": report.clean,
+            "repairs": len(report.repairs),
+            "records_kept": report.records_kept,
+            "counts": report.counts_by_kind(),
+        },
     }
 
 

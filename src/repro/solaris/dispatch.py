@@ -26,7 +26,7 @@ generated from the canonical rules and can be replaced wholesale via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 from repro.core.timebase import US_PER_MS, US_PER_SECOND
 
@@ -60,12 +60,22 @@ class DispatchTable:
 
     Use :meth:`classic` for the Solaris-2.5-shaped default, or
     :meth:`custom` to supply explicit rows (ablation experiments).
+    A table is immutable and compares (and hashes) by its rows, so two
+    configurations built apart compare equal when their rows do.
     """
 
     def __init__(self, entries: Sequence[DispatchEntry]):
         if len(entries) != TS_LEVELS:
             raise ValueError(f"dispatch table needs {TS_LEVELS} rows, got {len(entries)}")
-        self._entries: List[DispatchEntry] = list(entries)
+        self._entries: Tuple[DispatchEntry, ...] = tuple(entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DispatchTable):
+            return NotImplemented
+        return self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash(self._entries)
 
     # ------------------------------------------------------------------
     # constructors
@@ -79,22 +89,10 @@ class DispatchTable:
         get 200 ms, 10-19 get 160 ms, ..., 50-59 get 20 ms.  Quantum expiry
         drops an LWP ten levels (floored at 0); sleep return boosts it into
         the upper half (level+10, capped at 59); an LWP that has waited a
-        second without running is lifted the same way.
+        second without running is lifted the same way.  Every classic
+        table shares one tuple of rows, built at import.
         """
-        entries = []
-        for level in range(TS_LEVELS):
-            decade = level // 10
-            quantum_ms = max(20, 200 - 40 * decade)
-            entries.append(
-                DispatchEntry(
-                    quantum_us=quantum_ms * US_PER_MS,
-                    tqexp=max(0, level - 10),
-                    slpret=min(TS_LEVELS - 1, level + 10),
-                    maxwait_us=US_PER_SECOND,
-                    lwait=min(TS_LEVELS - 1, level + 10),
-                )
-            )
-        return cls(entries)
+        return cls(_CLASSIC_ROWS)
 
     @classmethod
     def fixed_quantum(cls, quantum_us: int) -> "DispatchTable":
@@ -126,7 +124,7 @@ class DispatchTable:
 
     def entries(self) -> Sequence[DispatchEntry]:
         """All rows, level 0 first (read-only view for serialisation)."""
-        return tuple(self._entries)
+        return self._entries
 
     def quantum_us(self, level: int) -> int:
         """Time slice for an LWP running at *level*."""
@@ -156,3 +154,15 @@ class DispatchTable:
     def initial_level() -> int:
         """Starting TS priority for a new LWP (mid-table, like ts_upri 0)."""
         return 29
+
+
+_CLASSIC_ROWS: Tuple[DispatchEntry, ...] = tuple(
+    DispatchEntry(
+        quantum_us=max(20, 200 - 40 * (level // 10)) * US_PER_MS,
+        tqexp=max(0, level - 10),
+        slpret=min(TS_LEVELS - 1, level + 10),
+        maxwait_us=US_PER_SECOND,
+        lwait=min(TS_LEVELS - 1, level + 10),
+    )
+    for level in range(TS_LEVELS)
+)

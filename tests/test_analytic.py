@@ -625,7 +625,6 @@ class TestServiceTier:
         self, profile, synthetic_trace, tmp_path
     ):
         from repro.jobs.service import PredictionService
-        from repro.recorder.salvage import salvage_loads
 
         # CRLF line ends: neither path sees the canonical bytes it hashes
         raw = logfile.dumps(synthetic_trace).replace("\n", "\r\n")
@@ -636,7 +635,7 @@ class TestServiceTier:
             svc._analytic_profile = profile
             request = {"cpus": [2, 4, 8], "tier": "auto"}
             if upload:
-                request["trace"] = svc.store_salvaged(salvage_loads(raw))["trace"]
+                request["trace"] = svc.ingest(raw.encode("utf-8"))["trace"]
             else:
                 request["log"] = raw
             body = svc.predict(request)

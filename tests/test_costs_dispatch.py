@@ -126,8 +126,47 @@ class TestDispatchTable:
         with pytest.raises(ValueError):
             DispatchTable([])
 
+    def test_tables_compare_and_hash_by_rows(self):
+        classic = DispatchTable.classic()
+        assert classic == DispatchTable.classic()
+        assert hash(classic) == hash(DispatchTable.classic())
+        assert classic == DispatchTable.custom(list(classic.entries()))
+        assert classic != DispatchTable.fixed_quantum(10_000)
+        assert DispatchTable.fixed_quantum(10_000) == DispatchTable.fixed_quantum(10_000)
+        assert DispatchTable.fixed_quantum(10_000) != DispatchTable.fixed_quantum(20_000)
+
+    def test_classic_tables_share_their_rows(self):
+        assert DispatchTable.classic().entries() is DispatchTable.classic().entries()
+
     def test_entry_validation(self):
         with pytest.raises(ValueError):
             DispatchEntry(quantum_us=0, tqexp=0, slpret=0, maxwait_us=0, lwait=0)
         with pytest.raises(ValueError):
             DispatchEntry(quantum_us=1, tqexp=99, slpret=0, maxwait_us=0, lwait=0)
+
+
+class TestConfigEquality:
+    """Configurations built apart compare by value, as their fingerprints do."""
+
+    def test_equal_configs_built_apart_are_equal(self):
+        from repro.core.config import SimConfig
+        from repro.jobs.fingerprint import config_fingerprint
+
+        a, b = SimConfig(cpus=1), SimConfig(cpus=1)
+        assert a == b and config_fingerprint(a) == config_fingerprint(b)
+        assert SimConfig(cpus=4, scheduler="cfs") == SimConfig(cpus=4, scheduler="cfs")
+        assert a != SimConfig(cpus=2)
+        assert a != SimConfig(cpus=1, dispatch=DispatchTable.fixed_quantum(10_000))
+
+    def test_results_of_one_plan_under_equal_configs_are_equal(self):
+        from repro import record_program
+        from repro.core.config import SimConfig
+        from repro.core.predictor import compile_trace
+        from repro.core.simulator import Simulator
+        from tests.conftest import make_prodcons_program
+
+        plan = compile_trace(record_program(make_prodcons_program()).trace)
+        first = Simulator(SimConfig(cpus=2)).run_replay(plan)
+        second = Simulator(SimConfig(cpus=2)).run_replay(plan)
+        assert first.config is not second.config
+        assert first == second

@@ -805,16 +805,15 @@ class TestService:
         import sys
 
         from repro.jobs.service import PredictionService
-        from repro.recorder.salvage import salvage_loads
 
         service = PredictionService(JobEngine(mode="inline"), spool_dir=tmp_path)
-        results = [salvage_loads(log_text) for _ in range(8)]
+        bodies = [log_text.encode("utf-8") for _ in range(8)]
         seen, errors = [], []
 
-        def store_then_read(result):
+        def store_then_read(body):
             try:
                 for _ in range(5):
-                    fp = service.store_salvaged(result)["trace"]
+                    fp = service.ingest(body)["trace"]
                     data = (tmp_path / f"{fp}.log").read_bytes()
                     seen.append(hashlib.sha256(data).hexdigest() == fp)
             except Exception as exc:  # noqa: BLE001 - reported below
@@ -823,7 +822,7 @@ class TestService:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=store_then_read, args=(r,)) for r in results]
+            threads = [threading.Thread(target=store_then_read, args=(b,)) for b in bodies]
             for t in threads:
                 t.start()
             for t in threads:
@@ -836,6 +835,31 @@ class TestService:
         assert seen == [True] * 40
         assert service.streamed_uploads == 40
         assert len(list(tmp_path.iterdir())) == 1  # no temporary file left behind
+
+    @pytest.mark.parametrize("path", ["/predict", "/lint"])
+    def test_vanished_spool_file_is_404_naming_only_the_fingerprint(
+        self, service_conn, log_text, path
+    ):
+        conn, service = service_conn
+        status, uploaded = _request(conn, "POST", "/traces", log_text)
+        assert status == 200
+        fp = uploaded["trace"]
+        (service.spool_dir / f"{fp}.log").unlink()  # a tmp cleaner's doing
+        request = json.dumps({"trace": fp, "cpus": [2]})
+        status, body = _request(conn, "POST", path, request)
+        assert status == 404
+        assert fp in body["error"] and "upload it again" in body["error"]
+        assert str(service.spool_dir) not in json.dumps(body)
+        # the index entry went with the file: now simply an unknown trace
+        status, metrics = _request(conn, "GET", "/metrics")
+        assert metrics["service"]["traces_spooled"] == 0
+        status, body = _request(conn, "POST", path, request)
+        assert status == 404 and "unknown trace" in body["error"]
+        # uploading it again brings it back
+        status, _ = _request(conn, "POST", "/traces", log_text)
+        assert status == 200
+        status, _ = _request(conn, "POST", path, request)
+        assert status == 200
 
     def test_predict_inline_log(self, service_conn, log_text):
         conn, _service = service_conn

@@ -15,16 +15,20 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 from repro import SimConfig, record_program
 from repro.jobs.cache import ResultCache
 from repro.jobs.client import ClientError, ServiceClient
-from repro.jobs.engine import JobEngine
+from repro.jobs import service as service_module
+from repro.jobs.engine import JobEngine, PoolUnavailable
+from repro.jobs.fingerprint import canonical_trace
 from repro.jobs.model import JobOutcome, SimJob, TraceRef
 from repro.jobs.resilience import AdmissionGate, CircuitBreaker, backoff_delays
 from repro.jobs.service import (
@@ -34,7 +38,7 @@ from repro.jobs.service import (
     default_max_body_bytes,
 )
 from repro.jobs.service_async import BackgroundServer
-from repro.jobs.worker import CRASH_SENTINEL
+from repro.jobs.worker import CRASH_SENTINEL, ingest_upload
 from repro.recorder import logfile
 from repro.recorder.salvage import SalvageLimitError, SalvageStream, salvage_loads
 from tests.conftest import make_prodcons_program
@@ -348,6 +352,66 @@ class TestEngineSubmitOnBrokenPool:
         assert breaker.failures == 2
 
 
+class TestEngineCall:
+    """``JobEngine.call``: one function on a worker, contained like a job."""
+
+    def test_refused_submit_is_retried_on_a_fresh_pool(self):
+        breaker = _CountingBreaker()
+        engine = JobEngine(
+            mode="process", workers=1, breaker=breaker, retry_sleep=lambda s: None
+        )
+        engine._pool = _BrokenOnSubmit()
+        try:
+            assert engine.call(pow, 2, 10) == 1024
+        finally:
+            engine.close()
+        assert breaker.failures == 1
+        assert (engine.metrics.worker_crashes, engine.metrics.retries) == (1, 1)
+        assert engine.metrics.jobs_submitted == 0  # a call is not a job
+
+    def test_every_submit_refused_is_unavailable(self):
+        breaker = _CountingBreaker()
+        engine = JobEngine(
+            mode="process", workers=1, breaker=breaker, retry_sleep=lambda s: None
+        )
+        broken = _BrokenOnSubmit()
+        engine._get_pool = lambda: broken
+        with pytest.raises(PoolUnavailable, match="crashed twice") as err:
+            engine.call(pow, 2, 10)
+        engine.close()
+        assert breaker.failures == 2
+        assert err.value.retry_after_s >= 1.0
+
+    def test_open_breaker_refuses_without_submitting(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=30.0, clock=clock)
+        breaker.record_failure()
+        engine = JobEngine(mode="process", workers=1, breaker=breaker)
+        engine._get_pool = lambda: pytest.fail("submitted past an open breaker")
+        with pytest.raises(PoolUnavailable, match="breaker open") as err:
+            engine.call(pow, 2, 10)
+        engine.close()
+        assert err.value.retry_after_s == pytest.approx(30.0)
+        assert engine.metrics.jobs_rejected_breaker == 1
+
+    def test_an_exception_in_the_worker_reaches_the_caller(self):
+        # the call is the half-open breaker's probe: a worker that
+        # answered with an exception is alive, so the breaker closes
+        # instead of waiting on that probe forever
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0, clock=clock)
+        breaker.record_failure()
+        clock.advance(5.0)
+        engine = JobEngine(mode="process", workers=1, breaker=breaker)
+        try:
+            with pytest.raises(ZeroDivisionError):
+                engine.call(divmod, 1, 0)
+        finally:
+            engine.close()
+        assert engine.breaker.state == "closed"
+        assert engine.metrics.worker_crashes == 0
+
+
 # ----------------------------------------------------------------------
 # service core (no sockets)
 # ----------------------------------------------------------------------
@@ -459,6 +523,36 @@ def _request(port, method, path, body=None, headers=None, timeout=15.0):
         conn.close()
 
 
+def _assert_oversize_body_is_413_both_framings(port):
+    """A server capped at 512 KiB refuses a bigger body in either framing."""
+    # Content-Length framing: rejected before reading the body
+    status, body, _ = _request(
+        port, "POST", "/traces",
+        headers={"Content-Length": str(600 * 1024)},
+    )
+    assert status == 413 and "cap" in body
+    # chunked framing: rejected mid-stream
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+    conn.putrequest("POST", "/traces")
+    conn.putheader("Transfer-Encoding", "chunked")
+    conn.endheaders()
+    blob = b"#" * 65536
+    for _ in range(12):  # 768 KiB > the 512 KiB cap
+        try:
+            conn.send(b"%x\r\n%s\r\n" % (len(blob), blob))
+        except (BrokenPipeError, ConnectionResetError):
+            break  # server already slammed the door: fine
+    try:
+        response = conn.getresponse()
+        assert response.status == 413
+    except (http.client.HTTPException, ConnectionError):
+        pass  # ditto — never a hung connection
+    finally:
+        conn.close()
+    status, metrics, _ = _request(port, "GET", "/metrics")
+    assert metrics["service"]["bodies_rejected"] >= 2
+
+
 class TestAsyncService:
     @pytest.fixture()
     def inline_service(self):
@@ -499,32 +593,7 @@ class TestAsyncService:
 
     def test_oversize_body_is_413_both_framings(self, inline_service):
         with BackgroundServer(inline_service) as bg:
-            # Content-Length framing: rejected before reading the body
-            status, body, _ = _request(
-                bg.port, "POST", "/traces",
-                headers={"Content-Length": str(600 * 1024)},
-            )
-            assert status == 413 and "cap" in body
-            # chunked framing: rejected mid-stream
-            conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=15)
-            conn.putrequest("POST", "/traces")
-            conn.putheader("Transfer-Encoding", "chunked")
-            conn.endheaders()
-            blob = b"#" * 65536
-            for _ in range(12):  # 768 KiB > the 512 KiB cap
-                try:
-                    conn.send(b"%x\r\n%s\r\n" % (len(blob), blob))
-                except (BrokenPipeError, ConnectionResetError):
-                    break  # server already slammed the door: fine
-            try:
-                response = conn.getresponse()
-                assert response.status == 413
-            except (http.client.HTTPException, ConnectionError):
-                pass  # ditto — never a hung connection
-            finally:
-                conn.close()
-            status, metrics, _ = _request(bg.port, "GET", "/metrics")
-            assert metrics["service"]["bodies_rejected"] >= 2
+            _assert_oversize_body_is_413_both_framings(bg.port)
 
     def test_shed_429_with_retry_after_under_saturation(
         self, inline_service, log_text
@@ -840,6 +909,134 @@ class TestAsyncService:
                 assert metrics["breaker"]["trips"] >= 1
         finally:
             engine.close()
+
+
+def _crash_every_upload(body, spool_dir):
+    os._exit(3)  # a worker dying mid-upload, every time
+
+
+def _crash_first_upload(body, spool_dir):
+    marker = Path(spool_dir).parent / "crashed-once"
+    if not marker.exists():
+        marker.touch()
+        os._exit(3)
+    return ingest_upload(body, spool_dir)
+
+
+class TestPooledUpload:
+    """``POST /traces`` salvages, spools and compiles on a pool worker."""
+
+    @pytest.fixture()
+    def pooled(self, tmp_path):
+        engine = JobEngine(
+            mode="process",
+            workers=1,
+            breaker=CircuitBreaker(failure_threshold=2, cooldown_s=60.0),
+            retry_sleep=lambda s: None,
+        )
+        service = PredictionService(
+            engine, spool_dir=tmp_path / "spool", max_body_bytes=512 * 1024
+        )
+        yield service
+        engine.close()
+
+    def test_answers_and_spool_bytes_equal_the_inline_servers(
+        self, pooled, log_text, tmp_path
+    ):
+        from repro.faultinject import corrupt
+
+        engine = JobEngine(mode="inline")
+        inline = PredictionService(engine, spool_dir=tmp_path / "inline-spool")
+        uploads = {
+            "clean": log_text,
+            "mangle-tid": corrupt(log_text, "mangle-tid", seed=3),
+            "truncate": corrupt(log_text, "truncate", seed=5),
+        }
+        try:
+            with BackgroundServer(pooled) as bp, BackgroundServer(inline) as bi:
+                for damage, text in uploads.items():
+                    seen = []
+                    for bg, service in ((bp, pooled), (bi, inline)):
+                        status, up, _ = _request(
+                            bg.port, "POST", "/traces", body=text.encode(), timeout=60
+                        )
+                        assert status == 200, (damage, up)
+                        spool = service.spool_dir / f"{up['trace']}.log"
+                        seen.append((up, spool.read_bytes()))
+                    assert seen[0] == seen[1], damage
+                    # and both equal a one-shot salvage of the same bytes
+                    salvaged = salvage_loads(text)
+                    spooled, fingerprint = canonical_trace(salvaged.trace)
+                    up, data = seen[0]
+                    assert data == spooled.encode("utf-8")
+                    assert up["trace"] == fingerprint
+                    assert up["events"] == len(salvaged.trace)
+                    assert up["salvage"]["clean"] is (damage == "clean")
+                    assert up["salvage"]["repairs"] == len(salvaged.report.repairs)
+        finally:
+            engine.close()
+
+    def test_oversize_is_413_and_unsalvageable_is_400(self, pooled):
+        with BackgroundServer(pooled) as bg:
+            _assert_oversize_body_is_413_both_framings(bg.port)
+            status, body, _ = _request(bg.port, "POST", "/traces", body=b"garbage")
+            assert status == 400 and "nothing salvageable" in body["error"]
+        assert pooled.streamed_uploads == 0
+
+    def test_the_uploads_compile_serves_every_replay(self, pooled, log_text):
+        with BackgroundServer(pooled) as bg:
+            status, up, _ = _request(
+                bg.port, "POST", "/traces", body=log_text.encode(), timeout=60
+            )
+            assert status == 200
+            status, pred, _ = _request(
+                bg.port, "POST", "/predict",
+                body=json.dumps({"trace": up["trace"], "cpus": [2, 4, 8]}),
+                timeout=60,
+            )
+            assert status == 200 and len(pred["predictions"]) == 3
+            _, metrics, _ = _request(bg.port, "GET", "/metrics")
+        # one worker: the upload left the plan where all four jobs ran
+        assert metrics["jobs_completed"] == 4
+        assert metrics["plan_cache"] == {"hits": 4, "misses": 0}
+
+    def test_a_crashed_upload_is_retried_across_a_rebuild(
+        self, pooled, log_text, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "ingest_upload", _crash_first_upload)
+        with BackgroundServer(pooled) as bg:
+            status, up, _ = _request(
+                bg.port, "POST", "/traces", body=log_text.encode(), timeout=60
+            )
+            assert status == 200, up
+            _, metrics, _ = _request(bg.port, "GET", "/metrics")
+        assert (metrics["worker_crashes"], metrics["retries"]) == (1, 1)
+        assert metrics["breaker"]["state"] == "closed"
+        assert (pooled.spool_dir / f"{up['trace']}.log").exists()
+
+    def test_an_upload_that_kills_every_worker_is_503_never_500(
+        self, pooled, log_text, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "ingest_upload", _crash_every_upload)
+        with BackgroundServer(pooled) as bg:
+            # both attempts die: 503, and the two crashes trip the breaker
+            status, body, headers = _request(
+                bg.port, "POST", "/traces", body=log_text.encode(), timeout=60
+            )
+            assert status == 503, body
+            assert "crashed twice" in body["error"]
+            assert "Retry-After" in headers
+            # the open breaker refuses the next upload up front
+            status, body, headers = _request(
+                bg.port, "POST", "/traces", body=log_text.encode(), timeout=60
+            )
+            assert status == 503, body
+            assert "breaker open" in body["error"]
+            assert int(headers["Retry-After"]) >= 1
+            _, metrics, _ = _request(bg.port, "GET", "/metrics")
+        assert metrics["worker_crashes"] == 2
+        assert metrics["jobs_rejected_breaker"] == 1
+        assert pooled.streamed_uploads == 0
 
 
 # ----------------------------------------------------------------------
