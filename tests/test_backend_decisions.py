@@ -55,12 +55,13 @@ class Rig:
         self.timeline: List[str] = []
         self._last: Optional[str] = None
 
-    # -- SchedulerListener ---------------------------------------------
+    # -- SchedulerListener, and every thread's burst_action -----------
 
     def need_step(self, thread: SimThread) -> None:
         self.sched.begin_burst(thread, WORK_US)
 
-    def burst_complete(self, thread: SimThread) -> None:  # pragma: no cover
+    @staticmethod
+    def burst_complete() -> None:  # pragma: no cover
         raise AssertionError("bursts outlast every scenario")
 
     # -- driving -------------------------------------------------------
@@ -70,6 +71,7 @@ class Rig:
         """A new LWP (with its bound thread) enters the run queue now."""
         tid = len(self.threads) + 2
         thread = SimThread(tid=ThreadId(tid), func_name=name, bound=True, bound_cpu=cpu)
+        thread.burst_action = self.burst_complete
         lwp = SimLwp(lwp_id=LwpId(tid), dedicated=True, kernel_priority=priority,
                      rt=rt, bound_cpu=cpu)
         lwp.thread, thread.lwp = thread, lwp
