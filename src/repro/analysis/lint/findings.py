@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import SourceLocation
 from repro.core.ids import SyncObjectId
@@ -182,12 +182,6 @@ class LintReport:
         counts = {s: 0 for s in Severity}
         for f in self.findings:
             counts[f.severity] += 1
-        return counts
-
-    def counts_by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for f in self.findings:
-            counts[f.rule_id] = counts.get(f.rule_id, 0) + 1
         return counts
 
     @property

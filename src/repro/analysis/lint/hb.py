@@ -83,10 +83,6 @@ class VarRaces:
     var: SyncObjectId
     pairs: List[RacePair] = field(default_factory=list)
 
-    @property
-    def any_full_concurrent(self) -> bool:
-        return any(p.full_concurrent for p in self.pairs)
-
     def best_pair(self) -> Optional[RacePair]:
         """The pair to report: a full-concurrent one when any exists."""
         for p in self.pairs:

@@ -66,11 +66,6 @@ class MakespanInterval:
     #: which margin table answered (exact cell key or a fallback level)
     margin_key: str
 
-    @property
-    def width_ratio(self) -> float:
-        """Relative interval width (0 = a point answer)."""
-        return (self.hi_us - self.lo_us) / self.point_us if self.point_us else 0.0
-
     def brackets(self, makespan_us: int) -> bool:
         return self.lo_us <= makespan_us <= self.hi_us
 

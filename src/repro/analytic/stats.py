@@ -197,16 +197,6 @@ class TraceStats:
         busy = self.busy_us
         return self.sync_us / busy if busy else 0.0
 
-    @property
-    def hottest_lock_held_us(self) -> int:
-        return max((l.held_us for l in self.locks), default=0)
-
-    def sync_calls(self) -> int:
-        return sum(
-            n for name, n in self.primitive_calls
-            if Primitive(name) in _SYNC_PRIMS
-        )
-
     # -- serialisation --------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -257,10 +257,6 @@ class FoldResult:
     holdout_objective: float
     params: Dict[str, float]
 
-    @property
-    def generalisation_gap(self) -> float:
-        return self.holdout_objective - self.train_objective
-
 
 @dataclass(frozen=True)
 class CrossValidation:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import platform
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -94,10 +94,6 @@ class CalibrationProfile:
     @property
     def mean_abs_error(self) -> float:
         return sum(r.abs_error for r in self.error_table) / len(self.error_table)
-
-    @property
-    def worst_abs_error(self) -> float:
-        return max(r.abs_error for r in self.error_table)
 
     def machine_mismatches(self) -> List[str]:
         """Differences between the fitting host and this one (warn-only)."""
@@ -225,6 +221,3 @@ class CalibrationProfile:
             return cls.from_json(text)
         except CalibrationError as exc:
             raise CalibrationError(f"{path}: {exc}") from exc
-
-    def with_params(self, params: Dict[str, float]) -> "CalibrationProfile":
-        return replace(self, params=dict(params))

@@ -28,9 +28,9 @@ __all__ = ["ScheduledEvent", "EventQueue", "Engine", "Watchdog"]
 class Watchdog:
     """Progress budgets for one engine run.
 
-    The engine's built-in ``max_events``/``max_time_us`` are livelock
-    *verdicts* (the simulated program is broken); a watchdog is a
-    *resource budget* (the caller will not wait longer), raised as
+    The engine's built-in ``max_events`` is a livelock *verdict* (the
+    simulated program is broken); a watchdog is a *resource budget* (the
+    caller will not wait longer), raised as
     :class:`~repro.core.errors.BudgetExceededError` so the two are
     distinguishable.  ``max_wall_s`` is checked every ``check_every``
     events to keep the hot loop cheap.
@@ -94,8 +94,8 @@ class EventQueue:
     def repush(self, time_us: int, ev: ScheduledEvent) -> ScheduledEvent:
         """Re-arm an already-executed event object at a new time.
 
-        The replay fast path recycles its one-in-flight-per-thread burst
-        and quantum events through this instead of allocating a fresh
+        The scheduler recycles each thread's one-in-flight burst event and
+        each LWP's quantum event through this instead of allocating a fresh
         :class:`ScheduledEvent` per arm.  The caller must guarantee *ev*
         is live (not cancelled) and no longer in the heap — i.e. its
         previous occurrence was popped and executed.
@@ -138,21 +138,17 @@ class Engine:
         paper notes (§6) that a thread spinning on a variable livelocks the
         one-LWP monitored run; our DSL cannot spin, but a buggy behaviour
         could schedule zero-length work forever, and this bound catches it.
-    max_time_us:
-        Optional wall-clock ceiling on simulated time.
     """
 
     def __init__(
         self,
         *,
         max_events: int = 50_000_000,
-        max_time_us: Optional[int] = None,
         watchdog: Optional[Watchdog] = None,
     ):
         self.now_us: int = 0
         self.queue = EventQueue()
         self.max_events = max_events
-        self.max_time_us = max_time_us
         self.watchdog = watchdog
         self.events_executed = 0
         self._wall_start: Optional[float] = None
@@ -191,7 +187,6 @@ class Engine:
         heap = self.queue._heap
         heappop = heapq.heappop
         max_events = self.max_events
-        max_time_us = self.max_time_us
         if watchdog is not None:
             wd_events = watchdog.max_events
             wd_time_us = watchdog.max_time_us
@@ -218,10 +213,6 @@ class Engine:
                     raise LivelockError(
                         f"exceeded {max_events} events at t={self.now_us}us; "
                         "simulation is likely livelocked"
-                    )
-                if max_time_us is not None and time_us > max_time_us:
-                    raise LivelockError(
-                        f"simulated time exceeded ceiling {max_time_us}us"
                     )
                 if wd_events is not None and executed > wd_events:
                     raise BudgetExceededError(

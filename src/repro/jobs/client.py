@@ -229,9 +229,6 @@ class ServiceClient:
             return self.request("POST", "/traces", chunks=_Reiterable(chunk_source))
         return self.request("POST", "/traces", body=path.read_bytes())
 
-    def upload_text(self, text: str) -> Dict[str, Any]:
-        return self.request("POST", "/traces", body=text.encode("utf-8"))
-
     def predict(
         self,
         *,

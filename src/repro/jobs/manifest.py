@@ -351,13 +351,6 @@ class BatchReport:
     def failed(self) -> List[ScenarioResult]:
         return [s for s in self.scenarios if not s.outcome.ok]
 
-    def status_counts(self) -> Dict[str, int]:
-        """Scenario count per outcome status (complete, worker-crashed, ...)."""
-        counts: Dict[str, int] = {}
-        for s in self.scenarios:
-            counts[s.outcome.status] = counts.get(s.outcome.status, 0) + 1
-        return counts
-
     def cache_hit_rate(self) -> float:
         served = [s for s in self.scenarios if s.outcome.ok]
         if not served:

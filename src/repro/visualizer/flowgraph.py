@@ -150,9 +150,6 @@ class FlowGraph:
     def thread_ids(self) -> List[int]:
         return [int(r.tid) for r in self.rows]
 
-    def event_count(self) -> int:
-        return sum(len(r.events) for r in self.rows)
-
 
 # ---------------------------------------------------------------------------
 # lint overlay

@@ -93,12 +93,6 @@ class TestEngine:
         with pytest.raises(LivelockError):
             eng.run()
 
-    def test_max_time_guard(self):
-        eng = Engine(max_time_us=1_000)
-        eng.schedule_at(2_000, lambda: None)
-        with pytest.raises(LivelockError):
-            eng.run()
-
     def test_step(self):
         eng = Engine()
         seen = []

@@ -241,6 +241,9 @@ class TestInspector:
         first = next(ev for ev in mutex_result.events if ev.obj == m)
         nxt = insp.next_similar(first.index)
         assert nxt is not None and nxt.obj == m
+        # and back: the paper's step to the previous similar event (§3.3)
+        assert insp.prev_similar(nxt.index) == first
+        assert insp.prev_similar(first.index) is None
 
     def test_all_on_object_time_ordered(self, mutex_result):
         insp = EventInspector(mutex_result)
