@@ -29,7 +29,7 @@ sound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.core.config import SimConfig
 from repro.core.result import RunStatus, SegmentKind
@@ -37,7 +37,7 @@ from repro.core.trace import Trace
 
 from repro.analysis.lint.engine import run_lint
 from repro.analysis.lint.findings import Finding, LintReport
-from repro.analysis.lint.witness import _index_trace
+from repro.analysis.lint.witness import _index_trace, _locate_access
 
 __all__ = [
     "lint_probe_context",
@@ -116,25 +116,6 @@ def _running_span(result, ev):
     return ev.start_us, ev.end_us
 
 
-def _locate(result, var: str, spec: Dict[str, Any]):
-    from repro.core.events import Primitive
-
-    tid = int(spec["tid"])
-    wanted = int(spec["ordinal"])
-    seen = 0
-    for ev in result.events:
-        if (
-            int(ev.tid) == tid
-            and ev.primitive in (Primitive.SHARED_READ, Primitive.SHARED_WRITE)
-            and ev.obj is not None
-            and str(ev.obj) == var
-        ):
-            if seen == wanted:
-                return ev
-            seen += 1
-    return None
-
-
 def probe_trace(
     trace: Trace,
     config: SimConfig,
@@ -169,8 +150,8 @@ def probe_trace(
         if spec["rule"] == "VPPB-R002":
             manifested[spec["fp"]] = deadlocked
             continue
-        first = _locate(result, spec["var"], spec["first"])
-        second = _locate(result, spec["var"], spec["second"])
+        first = _locate_access(result, spec["var"], spec["first"])
+        second = _locate_access(result, spec["var"], spec["second"])
         if first is None or second is None:
             manifested[spec["fp"]] = False
             continue

@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 
-def _copy_plan(plan: ReplayPlan, steps: Dict[int, List[Step]]) -> ReplayPlan:
-    return ReplayPlan(steps=steps, meta=dict(plan.meta), program_name=plan.program_name)
-
-
 def _scale(us: int, factor: float) -> int:
     return max(0, round(us * factor))
 
@@ -56,7 +52,7 @@ def scale_compute(
             out[tid] = list(steps)
             continue
         out[tid] = [Step(_scale(s.work_us, factor), s.op) for s in steps]
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)
 
 
 def scale_io(plan: ReplayPlan, factor: float) -> ReplayPlan:
@@ -75,7 +71,7 @@ def scale_io(plan: ReplayPlan, factor: float) -> ReplayPlan:
             else:
                 new_steps.append(s)
         out[tid] = new_steps
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)
 
 
 def _release_names(op) -> Optional[str]:
@@ -115,7 +111,7 @@ def scale_critical_sections(
                 holding = False
             new_steps.append(Step(work, s.op))
         out[tid] = new_steps
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)
 
 
 def split_lock(plan: ReplayPlan, lock_name: str, ways: int) -> ReplayPlan:
@@ -153,4 +149,4 @@ def split_lock(plan: ReplayPlan, lock_name: str, ways: int) -> ReplayPlan:
                 shard = None
             new_steps.append(Step(s.work_us, op))
         out[tid] = new_steps
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)

@@ -56,10 +56,6 @@ class DroppedWakeups:
     dropped: Tuple[EventRecord, ...]
 
 
-def _copy_plan(plan: ReplayPlan, steps: Dict[int, List[Step]]) -> ReplayPlan:
-    return ReplayPlan(steps=steps, meta=dict(plan.meta), program_name=plan.program_name)
-
-
 def delay_steps(
     plan: ReplayPlan,
     insertions: Sequence[Tuple[int, int, int]],
@@ -89,7 +85,7 @@ def delay_steps(
             at = min(max(0, step_index), len(steps))
             steps.insert(at, Step(0, op_mod.Delay(delay_us)))
         out[tid] = steps
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)
 
 
 def drop_wakeups(
@@ -166,7 +162,7 @@ def skew_clock(
             factor = rng.uniform(1.0 - max_skew, 1.0 + max_skew)
             new_steps.append(Step(max(0, round(s.work_us * factor)), s.op))
         out[tid] = new_steps
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)
 
 
 def stall_threads(
@@ -200,7 +196,7 @@ def stall_threads(
             at = rng.randrange(0, len(steps) + 1)
             steps.insert(at, Step(0, op_mod.Delay(stall_us)))
         out[tid] = steps
-    return _copy_plan(plan, out)
+    return plan.with_steps(out)
 
 
 def perturb_profile(
