@@ -39,7 +39,7 @@ from repro.core.errors import CalibrationError, ConfigError
 from repro.core.predictor import predict
 from repro.core.result import SegmentKind
 from repro.faultinject import perturb_profile
-from repro.jobs import JobEngine
+from repro.jobs import JobEngine, ResultCache
 from repro.program.uniexec import record_program
 from repro.solaris import costs as costs_mod
 from repro.solaris.costs import CostModel, apply_params, default_params
@@ -491,6 +491,23 @@ class TestMeasureAndObjective:
         evaluator = ObjectiveEvaluator(measured, engine=JobEngine(mode="inline"))
         with pytest.raises(CalibrationError, match="unknown workload"):
             evaluator.restricted(["nonesuch"])
+
+    def test_warm_refit_retraces_the_fit_from_the_cache(self, tmp_path):
+        """Every vector a fit visits is a content-addressed job, so a refit
+        over the same suite reproduces the fit from disk, simulating
+        nothing."""
+        measured = measure_suite([SMALL_SPEC])
+
+        def run_fit():
+            cache = ResultCache(tmp_path)
+            engine = JobEngine(mode="inline", cache=cache)
+            return fit(ObjectiveEvaluator(measured, engine=engine), max_evals=12), cache
+
+        cold, cold_cache = run_fit()
+        warm, warm_cache = run_fit()
+        assert cold_cache.stats()["misses"] > 0
+        assert (warm.params, warm.objective) == (cold.params, cold.objective)
+        assert warm_cache.stats()["misses"] == 0
 
     def test_cross_validation_needs_two_workloads(self):
         measured = measure_suite([SMALL_SPEC])
