@@ -8,7 +8,7 @@ the engine event count and a sha256 over the segments, placed events,
 thread summaries and per-CPU busy time.  Source locations are left out
 of the hash, so the digest is the same from any checkout path.
 
-Four more sets of cells reach what the grid does not:
+Six more sets of cells reach what the grid does not:
 
 * ``xos/...``: every workload at 5-7 CPUs, unbound and bound, under
   every backend: 8 threads partly oversubscribe those machines, so CPUs
@@ -19,6 +19,13 @@ Four more sets of cells reach what the grid does not:
   unbound, and those two beside an RT and a time-sharing thread pinned
   to CPU 0.  They pin the RT class's victim search and its place above
   the fair and timeshare LWPs on real replays;
+* ``lwp/...``: water and ocean at 1, 2 and 4 CPUs under every backend
+  with a kernel context-switch cost (``CostModel(lwp_switch_us=50)``,
+  the §6 extension).  Every LWP change on a processor charges it, so
+  every time-slice rotation does;
+* ``pin/...``: water and ocean with two workers pinned to CPU 1, at 2
+  and 3 CPUs under ``cfs`` and ``clutch``: quantum expiries whose queue
+  head may not run on the CPU the expiry frees;
 * ``fixture/...``: the small test programs (prodcons, barrier, mutex,
   fig. 2, SPLASH-2 models at 2-4 threads) across every configuration
   knob and backend, clock-skewed and stalled plans, and runs that end
@@ -57,6 +64,7 @@ from repro.jobs.fingerprint import ENGINE_VERSION
 from repro.recorder import logfile
 from repro.sched import available_backends, backend_version
 from repro.sched.stress_parity import _fixtures as stress_fixtures
+from repro.solaris.costs import CostModel
 from repro.workloads import get_workload
 
 from tests.conftest import (
@@ -90,6 +98,10 @@ FIXTURE_MODELS = (
 #: workloads the ``rt/...`` cells replay, and their CPU counts
 RT_WORKLOADS = ("water", "ocean", "fft")
 RT_CPUS = (1, 2, 3)
+#: workloads the ``lwp/...`` and ``pin/...`` cells replay, and their CPU counts
+ROTATION_WORKLOADS = ("ocean", "water")
+LWP_SWITCH_CPUS = (1, 2, 4)
+PIN_CPUS = (2, 3)
 #: scale and CPU count of the stress harness's tier-1 run
 STRESS_SCALE = 0.15
 STRESS_CPUS = 2
@@ -171,6 +183,25 @@ def rt_cells(name: str, trace) -> List[Tuple[str, SimConfig]]:
         for label, policies in (("rt10+rt20", rt), ("rt10+rt20+pinned", pinned))
         for cpus in RT_CPUS
         for lwps, limit in ((None, ""), (2, "/lwps=2"))
+    ]
+
+
+def rotation_cells(name: str, trace) -> List[Tuple[str, SimConfig]]:
+    """Workload *name* with a kernel context-switch cost, and with two
+    workers pinned to CPU 1."""
+    workers = [t for t in sorted(int(t) for t in trace.thread_ids()) if t != 1]
+    switch = CostModel(lwp_switch_us=50)
+    pinned = {t: ThreadPolicy(cpu=1) for t in workers[:2]}
+    return [
+        (f"lwp/{name}/{cpus}cpu/{scheduler}",
+         SimConfig(cpus=cpus, costs=switch, scheduler=scheduler))
+        for scheduler in available_backends()
+        for cpus in LWP_SWITCH_CPUS
+    ] + [
+        (f"pin/{name}/{cpus}cpu/{scheduler}",
+         SimConfig(cpus=cpus, scheduler=scheduler, thread_policies=pinned))
+        for scheduler in ("cfs", "clutch")
+        for cpus in PIN_CPUS
     ]
 
 
@@ -265,6 +296,8 @@ def cells() -> List[Cell]:
         configs = workload_cells(name, trace) + xos_cells(name, trace)
         if name in RT_WORKLOADS:
             configs += rt_cells(name, trace)
+        if name in ROTATION_WORKLOADS:
+            configs += rotation_cells(name, trace)
         out += [(label, plan, config, None) for label, config in configs]
     return out + fixture_cells() + stress_cells()
 
