@@ -112,6 +112,14 @@ class CfsBackend(SchedulerBackend):
         #: per CPU, the contender count its running LWP's armed slice was
         #: sized for, measured from the charge stamp (0: not known)
         self._sized = [0] * cpus
+        #: True when on_contention would re-tick nothing: every CPU that
+        #: runs a fair LWP has no contender or a slice sized for at least
+        #: its count.  A fair enqueue or an unknown slice clears it (see
+        #: on_contention); a rotation that moves no count keeps it
+        self._all_sized = False
+        #: what a rotation's outgoing side saw: the flag before its
+        #: enqueue, and the queued LWP's affinity (None: an RT LWP)
+        self._out: "Tuple[bool, Optional[int]] | None" = None
 
     # -- vruntime accounting -------------------------------------------
 
@@ -189,6 +197,7 @@ class CfsBackend(SchedulerBackend):
         i = bisect_left(self._keys, key)
         self._keys.insert(i, key)
         self._queue.insert(i, lwp)
+        self._all_sized = False
 
     def on_dequeue(self, lwp: "SimLwp") -> None:
         if lwp.rt:
@@ -198,6 +207,38 @@ class CfsBackend(SchedulerBackend):
         del self._keys[i]
         del self._queue[i]
         self._floor_at = -1
+
+    # -- rotation ------------------------------------------------------
+
+    def rotate_out(self, lwp: "SimLwp") -> None:
+        """A yielding expiry: quantum_expire's charge, then on_deschedule
+        and on_enqueue (whose own charge would add nothing)."""
+        self._charge(lwp)
+        if lwp.rt:
+            self._out = None
+            return
+        self._base_lo[lwp.cpu] = _NO_FAIR  # type: ignore[index]
+        self._base_hi[lwp.cpu] = -_NO_FAIR  # type: ignore[index]
+        self._floor_at = -1
+        self._out = (self._all_sized, lwp.bound_cpu)
+        self.on_enqueue(lwp)
+
+    def rotate_in(self, lwp: "SimLwp") -> int:
+        """The queue's head takes the CPU a rotation freed: on_dequeue
+        of index 0 (an RT head is not in the fair queue), on_dispatch,
+        and the fresh slice quantum_for would size."""
+        if not lwp.rt:
+            del self._keys[0]
+            del self._queue[0]
+            self._floor_at = -1
+            out = self._out
+            if out is not None and out[1] == lwp.bound_cpu:
+                # the head left the count the outgoing LWP joined: every
+                # count is back where it was, and the slice sized below
+                # covers this CPU's
+                self._all_sized = out[0]
+        self.on_dispatch(lwp)
+        return self.quantum_for(lwp)
 
     # -- the SchedulerBackend hooks ------------------------------------
 
@@ -235,8 +276,11 @@ class CfsBackend(SchedulerBackend):
         # also the charge stamp that on_contention measures from (every
         # dispatch and expiry; a thread handed to an LWP mid-slice is
         # the exception)
-        fresh = self._since_us.get(lwp.lwp_id) == sched.engine.now_us
-        self._sized[cpu] = nr if fresh else 0
+        if self._since_us.get(lwp.lwp_id) == sched.engine.now_us:
+            self._sized[cpu] = nr
+        else:
+            self._sized[cpu] = 0
+            self._all_sized = False
         if nr == 1:
             # nothing to share the latency window with: park the tick
             # (NO_HZ); on_contention re-arms it when a contender queues
@@ -271,7 +315,15 @@ class CfsBackend(SchedulerBackend):
         ``max(now + min_granularity, stamp + slice(count))`` only moves
         later as time passes or the count shrinks, so it cannot fall
         below an expiry armed at ``stamp + slice(sized)`` or by an
-        earlier re-tick at that count."""
+        earlier re-tick at that count.
+
+        Only a fair enqueue (a count grows) or a slice of unknown size
+        can take a CPU out of that state; a fair placement sizes its
+        slice for the count it sees, and a dequeue only shrinks counts.
+        So while neither has happened since the loop last ran, the loop
+        would skip every CPU, and the call returns at once."""
+        if self._all_sized:
+            return
         sched = self.sched
         free = 1 + sched.queued_free
         pinned = sched.queued_pinned
@@ -289,6 +341,7 @@ class CfsBackend(SchedulerBackend):
             slice_us = max(MIN_GRANULARITY_US, SCHED_LATENCY_US // nr)
             ran = now - self._since_us[running.lwp_id]
             sched.retick(running, max(MIN_GRANULARITY_US, slice_us - ran))
+        self._all_sized = True
 
     def pick_victim(
         self, candidates: "List[SimLwp]"

@@ -126,6 +126,22 @@ class ClutchBackend(SchedulerBackend):
         del self._keys[i]
         del self._queue[i]
 
+    # -- rotation ------------------------------------------------------
+
+    def rotate_out(self, lwp: "SimLwp") -> None:
+        """A yielding expiry: quantum_expire's charge, then on_enqueue
+        (on_deschedule's charge would add nothing)."""
+        self._charge(lwp)
+        self.on_enqueue(lwp)
+
+    def rotate_in(self, lwp: "SimLwp") -> int:
+        """The queue's head takes the CPU a rotation freed: on_dequeue
+        of index 0, on_dispatch, and the fresh slice."""
+        del self._keys[0]
+        del self._queue[0]
+        self._since_us[lwp.lwp_id] = self.sched.engine.now_us
+        return self.quantum_for(lwp)
+
     # -- the SchedulerBackend hooks ------------------------------------
 
     def thread_select(self, runnable: "Iterable[SimLwp]") -> "List[SimLwp]":
@@ -138,8 +154,15 @@ class ClutchBackend(SchedulerBackend):
         sched = self.sched
         cpu: int = lwp.cpu  # type: ignore[assignment]
         # uncontended: park the tick (XNU coalesces idle-machine timers
-        # the same way); on_contention re-arms when a contender queues
-        slice_us = QUANTUM_US if sched.has_contender(cpu) else TICKLESS_SLICE_US
+        # the same way); on_contention re-arms when a contender queues.
+        # The counts answer has_contender, which scans only while an RT
+        # LWP is queued
+        if sched.queued_free or sched.queued_pinned[cpu] or (
+            sched.queued_rt and sched.has_contender(cpu)
+        ):
+            slice_us = QUANTUM_US
+        else:
+            slice_us = TICKLESS_SLICE_US
         # the slice is armed from now; it is settled when now is also
         # the charge stamp (every dispatch and expiry; a thread handed
         # to an LWP mid-slice is the exception)

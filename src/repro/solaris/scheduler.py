@@ -138,6 +138,11 @@ class Scheduler:
         self._on_contention = getattr(backend, "on_contention", None)
         self._on_enqueue = getattr(backend, "on_enqueue", None)
         self._on_dequeue = getattr(backend, "on_dequeue", None)
+        # optional rotation hooks (CFS, Clutch), one call per side of a
+        # yielding expiry; bound only where a dispatch pass ticks
+        # nothing, which the rotation's equivalence rests on (_rotate)
+        self._rotate_out = None if self._ticks else getattr(backend, "rotate_out", None)
+        self._rotate_in = getattr(backend, "rotate_in", None)
 
         self.cpus: List[SimCpu] = [SimCpu(i) for i in range(config.cpus)]
         #: how many CPUs run no LWP (a pass with none skips its idle scan)
@@ -202,8 +207,9 @@ class Scheduler:
 
     def _set_lwp_state(self, lwp: SimLwp, state: LwpState) -> None:
         """Single point for LWP state flips, keeping the runnable map
-        and its contender counts, and telling a backend that keeps its
-        own run queue."""
+        and its contender counts.  A backend that keeps its own run
+        queue hears of it from the two places an LWP joins or leaves
+        the queue: ``_lwp_runnable`` and ``_place`` (or a rotation)."""
         old = lwp.state
         if old is not state:
             lwp.state = state
@@ -215,8 +221,6 @@ class Scheduler:
                     self.queued_free -= 1
                 else:
                     self.queued_pinned[lwp.bound_cpu] -= 1
-                if self._on_dequeue is not None:
-                    self._on_dequeue(lwp)
             elif state is _QUEUED:
                 self._runnable[lwp.lwp_id] = lwp
                 if lwp.rt:
@@ -225,8 +229,6 @@ class Scheduler:
                     self.queued_free += 1
                 else:
                     self.queued_pinned[lwp.bound_cpu] += 1
-                if self._on_enqueue is not None:
-                    self._on_enqueue(lwp)
 
     def has_contender(self, cpu: int) -> bool:
         """Whether a queued LWP may run on processor *cpu* (it is pinned
@@ -376,6 +378,8 @@ class Scheduler:
         # the sequence number first: on_enqueue sees the final queue key
         lwp.enqueue_seq = next(self._seq)
         self._set_lwp_state(lwp, _QUEUED)
+        if self._on_enqueue is not None:
+            self._on_enqueue(lwp)
         lwp.runnable_since_us = self.engine.now_us
 
     # ------------------------------------------------------------------
@@ -439,7 +443,10 @@ class Scheduler:
                 return
             self._place(runnable[stop], target)
 
-    def _place(self, lwp: SimLwp, cpu: SimCpu) -> None:
+    def _place(self, lwp: SimLwp, cpu: SimCpu, rotate_in=None) -> None:
+        """Dispatch queued *lwp* on idle *cpu*.  *rotate_in* is the
+        backend's incoming rotation hook when *lwp* heads its queue and
+        *cpu* is the one a yielding expiry freed (see ``_rotate``)."""
         if cpu.lwp is not None:
             raise SimulationError(f"placing {lwp!r} on busy {cpu!r}")
         thread = lwp.thread
@@ -462,12 +469,19 @@ class Scheduler:
         cpu.last_lwp_id = lid
         lwp.cpu = cpu.index
         self._set_lwp_state(lwp, _ONPROC)
+        if rotate_in is not None:
+            # one call dequeues the head, stamps the dispatch and sizes
+            # the fresh slice
+            lwp.quantum_remaining_us = rotate_in(lwp)
+        else:
+            if self._on_dequeue is not None:
+                self._on_dequeue(lwp)
+            if self._on_dispatch is not None:
+                # usage-accounting backends stamp the dispatch (and may
+                # clear quantum_remaining_us to force a fresh slice below)
+                self._on_dispatch(lwp)
         lwp.dispatches += 1
         lwp.last_thread_tid = tid
-        if self._on_dispatch is not None:
-            # usage-accounting backends stamp the dispatch (and may
-            # clear quantum_remaining_us to force a fresh slice below)
-            self._on_dispatch(lwp)
 
         self._set_thread_state(thread, _RUNNING, cpu.index)
         thread.last_cpu = cpu.index
@@ -576,13 +590,62 @@ class Scheduler:
         if lwp.state is not _ONPROC:
             return  # stale timer (LWP left the CPU at the same timestamp)
         lwp.quantum_expiries += 1
+        rotates = self._rotate_out is not None
+        # A rotating backend is asked to yield first: quantum_yield reads
+        # only the contender counts (and, while an RT LWP is queued, the
+        # queued RT priorities), never the usage quantum_expire charges.
+        # A yielding LWP's next placement sizes a fresh slice, so the one
+        # quantum_for would size now is not asked for.  Its one side
+        # effect, the record of what this CPU's slice was sized for
+        # (CFS's _sized, Clutch's _settled), is read by on_contention
+        # only for a CPU running a fair LWP, and the next fair placement
+        # here rewrites it first.  Solaris keeps its order: tqexp sets
+        # the priority its yield test and its next slice follow.
+        if rotates and self._quantum_yield(lwp):
+            self._rotate(lwp)
+            return
         self._quantum_expire_policy(lwp)  # aging / usage accounting
         lwp.quantum_remaining_us = self._quantum_for(lwp)
-        if self._quantum_yield(lwp):
+        if not rotates and self._quantum_yield(lwp):
             self._preempt(lwp)
             self._kernel_dispatch()
         else:
             self._arm_quantum(lwp)
+
+    def _rotate(self, lwp: SimLwp) -> None:
+        """A yielding expiry, rotated in place: *lwp* gives up its CPU
+        and joins the run queue, and when the queue's head may take the
+        freed CPU it is placed there at once.
+
+        This is ``_preempt`` + ``_kernel_dispatch()``, exactly.  The
+        outgoing hook does what ``quantum_expire``, ``on_deschedule``
+        and ``on_enqueue`` would (the deschedule's second, zero-length
+        charge changes nothing), and the mechanism makes ``_preempt``'s
+        state changes, in an order no hook observes.  A rotating backend
+        ticks nothing and its ``thread_select`` is a pure read, so the
+        first dispatch pass would run its idle scan on unchanged state.
+        With the freed CPU the only idle one and outside an atomic
+        section, that scan stops at the first candidate that may run
+        there; when that is the head, the pass places it there without
+        a victim search, which is what ``_place(head, cpu, rotate_in)``
+        does.  The ``_kernel_dispatch()`` that follows continues with
+        the second pass.  In every other case it runs from the first."""
+        thread = lwp.thread
+        assert thread is not None
+        self._save_burst_remainder(thread)
+        cpu = self.cpus[lwp.cpu]  # type: ignore[index]
+        lwp.enqueue_seq = next(self._seq)
+        self._rotate_out(lwp)  # type: ignore[misc]
+        cpu.lwp = lwp.cpu = None
+        self._idle_cpus += 1
+        self._set_thread_state(thread, _RUNNABLE)
+        thread.runnable_since_us = lwp.runnable_since_us = self.engine.now_us
+        self._set_lwp_state(lwp, _QUEUED)
+        if self._idle_cpus == 1 and not self._atomic_depth:
+            head = self._select(self._runnable.values())[0]
+            if head.bound_cpu is None or head.bound_cpu == cpu.index:
+                self._place(head, cpu, self._rotate_in)
+        self._kernel_dispatch()
 
     # ------------------------------------------------------------------
     # bursts
