@@ -49,21 +49,27 @@ class Watchdog:
 class ScheduledEvent:
     """Handle to an action scheduled on the engine.
 
-    ``cancel()`` marks the event dead; dead events are skipped when popped
-    (lazy deletion — O(1) cancel, and the heap stays a heap).
+    A heap entry ``(time_us, seq, event)`` is live while the event's
+    ``seq`` is the entry's: ``cancel()`` clears it, and re-arming the
+    event (:meth:`EventQueue.repush`) gives it a new one, so a stale
+    entry is skipped when popped (lazy deletion — O(1) cancel, and the
+    heap stays a heap).
     """
 
-    __slots__ = ("time_us", "seq", "action", "label", "cancelled")
+    __slots__ = ("time_us", "seq", "action", "label")
 
     def __init__(self, time_us: int, seq: int, action: Callable[[], None], label: str):
         self.time_us = time_us
         self.seq = seq
         self.action = action
         self.label = label
-        self.cancelled = False
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self.seq = -1
+
+    @property
+    def cancelled(self) -> bool:
+        return self.seq < 0
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return (self.time_us, self.seq) < (other.time_us, other.seq)
@@ -92,13 +98,13 @@ class EventQueue:
         return ev
 
     def repush(self, time_us: int, ev: ScheduledEvent) -> ScheduledEvent:
-        """Re-arm an already-executed event object at a new time.
+        """Re-arm event object *ev* at a new time.
 
         The scheduler recycles each thread's one-in-flight burst event and
         each LWP's quantum event through this instead of allocating a fresh
-        :class:`ScheduledEvent` per arm.  The caller must guarantee *ev*
-        is live (not cancelled) and no longer in the heap — i.e. its
-        previous occurrence was popped and executed.
+        :class:`ScheduledEvent` per arm: executed, cancelled or still
+        armed, *ev* takes a new ``seq`` (one draw from the counter, as a
+        push makes), so its old heap entry, if any, goes dead.
         """
         seq = next(self._counter)
         ev.time_us = time_us
@@ -109,19 +115,19 @@ class EventQueue:
     def pop(self) -> Optional[ScheduledEvent]:
         """Pop the earliest live event, or None when the queue is drained."""
         while self._heap:
-            ev = heapq.heappop(self._heap)[2]
-            if not ev.cancelled:
+            _, seq, ev = heapq.heappop(self._heap)
+            if seq == ev.seq:
                 return ev
         return None
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the earliest live event without popping it."""
-        while self._heap and self._heap[0][2].cancelled:
+        while self._heap and self._heap[0][1] != self._heap[0][2].seq:
             heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for _, seq, ev in self._heap if seq == ev.seq)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None
@@ -198,11 +204,9 @@ class Engine:
         executed = self.events_executed
         try:
             while heap:
-                entry = heappop(heap)
-                ev = entry[2]
-                if ev.cancelled:
-                    continue
-                time_us = entry[0]
+                time_us, seq, ev = heappop(heap)
+                if seq != ev.seq:
+                    continue  # cancelled, or re-armed since
                 if time_us < self.now_us:
                     raise SimulationError(
                         f"time went backwards: now={self.now_us}, event={ev!r}"

@@ -813,7 +813,7 @@ class Simulator:
         engine = self.engine
         end = engine.now_us + duration
         ev = thread.burst_event
-        if ev is None or ev.cancelled:
+        if ev is None:
             ev = engine.queue.push(end, thread.burst_action, "burst")
             thread.burst_event = ev
         else:

@@ -86,8 +86,7 @@ class SimLwp:
         default=None, repr=False, compare=False
     )
 
-    #: Spare quantum ScheduledEvent recycled across arms (reused while its
-    #: previous occurrence executed; replaced when cancelled).
+    #: The LWP's quantum ScheduledEvent, re-armed for every slice.
     quantum_event: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property

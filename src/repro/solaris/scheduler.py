@@ -494,8 +494,7 @@ class Scheduler:
             self._arm_quantum(lwp)
 
         if thread.burst_remaining_us > 0:
-            extra = self._switch_cost_pending.pop(tid, 0)
-            self._arm_burst(thread, thread.burst_remaining_us + extra)
+            self.begin_burst(thread, thread.burst_remaining_us)  # resumed
         else:
             self.listener.need_step(thread)
 
@@ -549,8 +548,8 @@ class Scheduler:
 
     def _arm_quantum(self, lwp: SimLwp) -> None:
         # hot under replay: one cached closure per LWP, constant label, a
-        # direct queue push (expiry is never in the past), and the
-        # ScheduledEvent recycled while its last occurrence executed
+        # direct queue push (expiry is never in the past), and one
+        # ScheduledEvent per LWP, re-armed for every slice
         action = lwp.quantum_action
         if action is None:
             expired = self._quantum_expired
@@ -559,7 +558,7 @@ class Scheduler:
             lwp.quantum_action = action
         expiry = self.engine.now_us + lwp.quantum_remaining_us
         handle = lwp.quantum_event
-        if handle is None or handle.cancelled:
+        if handle is None:
             handle = self.engine.queue.push(expiry, action, "quantum")
             lwp.quantum_event = handle
         else:
@@ -576,12 +575,9 @@ class Scheduler:
         entry = self._quantum_events.get(lwp.lwp_id)
         if entry is None:
             return
-        handle, expiry_us = entry
-        if expiry_us <= self.engine.now_us + remaining_us:
+        if entry[1] <= self.engine.now_us + remaining_us:
             return
-        # the armed event is still in the heap, so it cannot be
-        # repushed in place — cancel it and let _arm_quantum allocate
-        handle.cancel()
+        # re-arming the event leaves its armed entry dead in the heap
         lwp.quantum_remaining_us = remaining_us
         self._arm_quantum(lwp)
 
@@ -652,11 +648,12 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def begin_burst(self, thread: SimThread, duration_us: int) -> None:
-        """Start *duration_us* (never negative) of CPU work for a RUNNING
-        thread.  The completion is the thread's ``burst_action``, built
-        once per thread; the event that fires it is reused while its
-        last occurrence executed, and pushed straight onto the queue (the
-        end time can never be in the past)."""
+        """Start, or resume after a preemption, *duration_us* (never
+        negative) of CPU work for a RUNNING thread.  The completion is
+        the thread's ``burst_action``, built once per thread, and one
+        event per thread fires it, re-armed for every burst and pushed
+        straight onto the queue (the end time can never be in the
+        past)."""
         if thread.state is not _RUNNING:
             raise SimulationError(
                 f"begin_burst on {thread.state.value} T{int(thread.tid)}"
@@ -669,19 +666,12 @@ class Scheduler:
         engine = self.engine
         end = engine.now_us + duration_us
         ev = thread.burst_event
-        if ev is None or ev.cancelled:
+        if ev is None:
             ev = engine.queue.push(end, thread.burst_action, "burst")
             thread.burst_event = ev
         else:
             engine.queue.repush(end, ev)
         self._burst_events[tid] = (ev, end)
-
-    def _arm_burst(self, thread: SimThread, duration_us: int) -> None:
-        """Resume a burst whose event a preemption cancelled."""
-        end = self.engine.now_us + duration_us
-        handle = self.engine.queue.push(end, thread.burst_action, "burst")
-        thread.burst_event = handle
-        self._burst_events[thread.tid] = (handle, end)
 
     # ------------------------------------------------------------------
     # blocking / waking / exiting / yielding (called during op application)
@@ -800,8 +790,7 @@ class Scheduler:
             if self.config.time_slicing:
                 self._arm_quantum(lwp)
             if thread.burst_remaining_us > 0:
-                extra = self._switch_cost_pending.pop(int(thread.tid), 0)
-                self._arm_burst(thread, thread.burst_remaining_us + extra)
+                self.begin_burst(thread, thread.burst_remaining_us)  # resumed
             else:
                 self.listener.need_step(thread)
         else:

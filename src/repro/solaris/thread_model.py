@@ -104,9 +104,8 @@ class SimThread:
         default=None, repr=False, compare=False
     )
 
-    #: The thread's burst ScheduledEvent, recycled by ``begin_burst``
-    #: (reused while its previous occurrence executed; replaced when
-    #: cancelled).
+    #: The thread's burst ScheduledEvent, re-armed by ``begin_burst``
+    #: for every burst.
     burst_event: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
