@@ -51,7 +51,14 @@ mechanism calls them when an LWP goes on / comes off a processor, which
 is where usage-driven policies (CFS vruntime, Clutch timeshare decay)
 account CPU time.  ``on_enqueue(lwp)`` / ``on_dequeue(lwp)`` fire when
 an LWP joins / leaves the run queue (``enqueue_seq`` is already final),
-for a backend that keeps its own ordered queue (CFS, Clutch).  The
+for a backend that keeps its own ordered queue (CFS, Clutch).
+``rotate_out(lwp)`` / ``rotate_in(lwp) -> slice`` stand in for those
+hooks on the two sides of a yielding quantum expiry, for a backend
+with no ``sched_tick`` whose ``quantum_yield`` reads no expiry
+accounting: the first does ``quantum_expire``, ``on_deschedule`` and
+``on_enqueue`` for the expiring LWP, the second ``on_dequeue`` and
+``on_dispatch`` for the head of ``thread_select``'s order, placed on
+the CPU just freed, and returns its fresh ``quantum_for``.  The
 mechanism itself counts the queued contenders by class and affinity
 (``queued_rt``, ``queued_free``, ``queued_pinned``) and answers
 :meth:`Scheduler.has_contender` from them.

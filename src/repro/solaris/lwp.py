@@ -48,7 +48,10 @@ class SimLwp:
         Current TS-class level (0..59); adjusted by the dispatcher on
         quantum expiry and sleep return, exactly as §3.2 describes.
     quantum_remaining_us:
-        What is left of the current time slice.
+        The slice the LWP's quantum timer is armed with next: sized by
+        the backend at dispatch or expiry, or saved from the armed
+        timer when the LWP leaves its CPU mid-slice.  While the LWP
+        runs, what is left of its slice is in the armed quantum event.
     bound_cpu:
         CPU this LWP must run on (propagated from a CPU-bound thread).
     """

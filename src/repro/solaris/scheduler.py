@@ -18,13 +18,16 @@ Scheduling happens at two levels, exactly as the paper describes:
   and Linux-CFS-style kernels instead.
 
 This class owns everything backend-independent: CPUs, the LWP pool,
-burst/quantum event arming (each thread's burst event and each LWP's
-quantum event are recycled, not reallocated), the runnable map,
-block/wake plumbing and the atomic dispatch deferral.  The backend's hot
-hooks are pre-bound to instance attributes in ``__init__`` — the same
-handler-binding discipline the simulator's interpreter uses — so backend
-dispatch adds one bound-method call, not an interface lookup, per
-decision.
+burst/quantum event arming (each thread's one burst event and each
+LWP's one quantum event are re-armed, never reallocated), the runnable
+map, block/wake plumbing and the atomic dispatch deferral.  The
+backend's hot hooks are pre-bound to instance attributes in
+``__init__`` — the same handler-binding discipline the simulator's
+interpreter uses — so backend dispatch adds one bound-method call, not
+an interface lookup, per decision.  A quantum expiry that yields under
+a backend with rotation hooks (CFS, Clutch) is rotated in place, one
+hook call per side (``_rotate``); it is exactly the ``_preempt`` and
+dispatch pass that every other case runs.
 
 Threads bound to an LWP own a dedicated LWP for life; threads bound to a
 CPU have that LWP pinned to the processor.  A wake-up that crosses CPUs is
