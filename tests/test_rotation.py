@@ -123,3 +123,41 @@ def test_rotation_equals_preempt_and_dispatch(plans, monkeypatch, scheduler):
         # RT LWPs are not in CFS's fair queue: rotate_in places an RT
         # head without dequeuing it
         assert seen["in place, RT head"] > 0
+
+
+def clutch_head_may_take_a_lower_idle_cpu():
+    """Two timeshare LWPs pinned to CPU 1 round-robin long enough to
+    decay a level; a fresh unpinned LWP takes CPU 1 once they block, and
+    they queue behind it when they wake.  When CPU 0 has gone idle too,
+    the fresh LWP's expiry frees CPU 1 with CPU 0 idle, and the fresh
+    LWP itself heads the queue: the general pass moves it to CPU 0, the
+    lowest idle CPU, and gives CPU 1 to a pinned LWP."""
+    from tests.test_backend_decisions import Rig
+
+    rig = Rig("clutch", 2)
+    rig.add("P", cpu=1)
+    rig.add("Q", cpu=1)
+    rig.add("Y", cpu=0)
+    rig.run_until(40_000)
+    rig.block_on(1)
+    rig.block_on(1)
+    rig.add("A")
+    rig.wake("P")
+    rig.wake("Q")
+    rig.block("Y")
+    rig.run_until(50_000)
+    return rig.timeline
+
+
+def test_a_head_with_several_idle_cpus_takes_the_lowest(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(ClutchBackend, "rotate_out", None)
+        m.setattr(ClutchBackend, "rotate_in", None)
+        reference = clutch_head_may_take_a_lower_idle_cpu()
+    seen: Counter = Counter()
+    spy_on_rotations(monkeypatch, seen)
+    timeline = clutch_head_may_take_a_lower_idle_cpu()
+    assert timeline == reference
+    assert seen["fallback: several idle CPUs"] == 1
+    # A's expiry at 46,000 frees CPU 1 with CPU 0 idle: A moves to CPU 0
+    assert timeline[-2:] == ["40000: - A@46000", "46000: A@~ P@52000"]

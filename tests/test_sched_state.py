@@ -3,8 +3,9 @@
 The mechanism counts the run queue's contenders by class and affinity,
 and the idle CPUs.  CFS keeps its fair queue in vruntime order, each
 CPU's ``vruntime - charge stamp`` base, the contender count each
-running slice was sized for, and the instant at which ``min_vruntime``
-last held the floor.  Clutch keeps its queue in dispatch order and the
+running slice was sized for, the instant at which ``min_vruntime``
+last held the floor, and whether every running slice is sized for its
+CPU's contenders.  Clutch keeps its queue in dispatch order and the
 CPUs whose slice no re-tick can shorten.  Every one of them stands in
 for a scan or a re-tick, so a copy that drifts changes answers only
 where a replay happens to read it.
@@ -121,6 +122,13 @@ def check_cfs(sched, seen: Counter) -> None:
     if cfs._floor_at == now and in_play:
         assert cfs._min_vruntime >= min(in_play)
         seen["floor held"] += 1
+    if cfs._all_sized:
+        # on_contention may return at once: its loop would skip every CPU
+        for cpu in sched.cpus:
+            if cpu.lwp is not None and not cpu.lwp.rt:
+                nr = 1 + sched.queued_free + sched.queued_pinned[cpu.index]
+                assert nr == 1 or nr <= cfs._sized[cpu.index]
+        seen["all sized"] += 1
 
 
 def check_clutch(sched, seen: Counter) -> None:
@@ -184,6 +192,7 @@ def test_cached_state_matches_a_recount_after_every_event(plans, scheduler, vari
         assert seen["pinned queued"] > 0
     if scheduler == "cfs":
         assert seen["sized slice"] > 0 and seen["floor held"] > 0
+        assert seen["all sized"] > 0
     else:
         assert seen["settled slice"] > 0
 
