@@ -4,15 +4,16 @@ Under CFS and Clutch a quantum expiry that yields is rotated in place
 (``Scheduler._rotate``): one backend call (``rotate_out``) requeues the
 expiring LWP, and when the freed CPU is the only idle one and the head
 of the backend's order may run there, a second (``rotate_in``) places
-that head on it.  Every other case runs ``_preempt`` and the general
-``_kernel_dispatch``, which is also what a backend without the rotation
-hooks runs.
+that head on it.  In every other case nothing is placed in place, and
+the general ``_kernel_dispatch`` runs from its first pass.
 
 These tests replay each input twice: once as shipped, once with the
 backend's ``rotate_out``/``rotate_in`` set to None, so that every
-yielding expiry takes ``_preempt`` + ``_kernel_dispatch``.  The two
-``SimulationResult``s must be equal, engine events included.  A spy
-checks that the in-place branch and each fallback ran.
+yielding expiry takes ``_preempt`` + ``_kernel_dispatch``, the path
+the rotation stands in for.  The two ``SimulationResult``s must be
+equal, engine events included.  A spy checks that the in-place branch
+and each fallback ran; one fallback no replay input reaches is driven
+on hand-built LWPs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from repro.sched.clutch import ClutchBackend
 from repro.solaris.costs import CostModel
 from repro.solaris.scheduler import Scheduler
 from repro.workloads import get_workload
+
+from tests.test_backend_decisions import Rig
 
 WORKLOADS = ("water", "ocean", "prodcons")
 CPUS = range(1, 8)
@@ -132,8 +135,6 @@ def clutch_head_may_take_a_lower_idle_cpu():
     the fresh LWP's expiry frees CPU 1 with CPU 0 idle, and the fresh
     LWP itself heads the queue: the general pass moves it to CPU 0, the
     lowest idle CPU, and gives CPU 1 to a pinned LWP."""
-    from tests.test_backend_decisions import Rig
-
     rig = Rig("clutch", 2)
     rig.add("P", cpu=1)
     rig.add("Q", cpu=1)
