@@ -9,6 +9,11 @@ about threads or CPUs.
 Scheduled actions are cancellable (needed for quantum expiry timers that a
 block cancels, and for timed waits a signal cancels).  Ties are broken by
 insertion order so runs are fully deterministic.
+
+Cancelling an event, or running it, clears its ``seq``, so ``seq >= 0``
+(:attr:`ScheduledEvent.armed`) means "queued, not yet run".  The engine
+clears it just before calling the action, so an action that re-arms its
+own event leaves it armed.
 """
 
 from __future__ import annotations
@@ -50,10 +55,11 @@ class ScheduledEvent:
     """Handle to an action scheduled on the engine.
 
     A heap entry ``(time_us, seq, event)`` is live while the event's
-    ``seq`` is the entry's: ``cancel()`` clears it, and re-arming the
-    event (:meth:`EventQueue.repush`) gives it a new one, so a stale
-    entry is skipped when popped (lazy deletion — O(1) cancel, and the
-    heap stays a heap).
+    ``seq`` is the entry's: ``cancel()`` and running the event clear
+    it, and re-arming the event (:meth:`EventQueue.repush`) gives it a
+    new one, so a stale entry is skipped when popped (lazy deletion —
+    O(1) cancel, and the heap stays a heap).  Cancelling an event that
+    already ran is a no-op.
     """
 
     __slots__ = ("time_us", "seq", "action", "label")
@@ -68,14 +74,14 @@ class ScheduledEvent:
         self.seq = -1
 
     @property
-    def cancelled(self) -> bool:
-        return self.seq < 0
+    def armed(self) -> bool:
+        return self.seq >= 0
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return (self.time_us, self.seq) < (other.time_us, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " CANCELLED" if self.cancelled else ""
+        state = "" if self.armed else " unarmed"
         return f"<event {self.label!r} @{self.time_us}us{state}>"
 
 
@@ -113,10 +119,12 @@ class EventQueue:
         return ev
 
     def pop(self) -> Optional[ScheduledEvent]:
-        """Pop the earliest live event, or None when the queue is drained."""
+        """Pop the earliest live event, disarmed, or None when the queue
+        is drained."""
         while self._heap:
             _, seq, ev = heapq.heappop(self._heap)
             if seq == ev.seq:
+                ev.seq = -1
                 return ev
         return None
 
@@ -185,7 +193,8 @@ class Engine:
         onto the same list object via :meth:`EventQueue.push`), ``heappop``
         is a local, and the budget checks are inlined integer compares with
         exactly the legacy trip points.  Only the wall-clock probe is
-        amortised (every ``check_every`` events, as before).
+        amortised (every ``check_every`` events, as before).  Each event
+        is disarmed just before its action runs.
         """
         watchdog = self.watchdog
         if watchdog is not None and self._wall_start is None:
@@ -239,13 +248,15 @@ class Engine:
                         f"after {executed} events (t={self.now_us}us)",
                         budget="wall-clock",
                     )
+                ev.seq = -1
                 ev.action()
             return self.now_us
         finally:
             self.events_executed = executed
 
     def step(self) -> bool:
-        """Execute a single event; return False when the queue is empty."""
+        """Execute a single event (disarmed by the pop); return False
+        when the queue is empty."""
         ev = self.queue.pop()
         if ev is None:
             return False

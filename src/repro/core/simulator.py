@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from heapq import heappush
-from typing import Callable, Dict, Iterator, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine, Watchdog
@@ -133,13 +132,13 @@ class CompiledThread:
 
     __slots__ = (
         "codes", "works", "prims", "ops", "objs", "targets",
-        "sync_slots", "slot_specs", "create_idx", "n",
+        "sync_slots", "slot_specs", "create_idx",
     )
 
     def __init__(self, steps: List[Step]):
         seq = list(steps)
         if not seq or type(seq[-1].op) is not op_mod.ThrExit:
-            # need_step synthesises Step(0, ThrExit()) when a live
+            # _next_step synthesises Step(0, ThrExit()) when a live
             # behaviour runs dry; bake the same sentinel in
             seq.append(Step(0, op_mod.ThrExit()))
         ops = tuple(s.op for s in seq)
@@ -175,7 +174,6 @@ class CompiledThread:
         self.create_idx = tuple(
             i for i, op in enumerate(ops) if type(op) is op_mod.ThrCreate
         )
-        self.n = len(seq)
 
 
 @dataclass
@@ -225,7 +223,7 @@ class _ThreadRt:
     """
 
     __slots__ = (
-        "behavior", "ctx", "current_op", "op_cost_us", "op_call_time_us",
+        "behavior", "current_op", "op_cost_us", "op_call_time_us",
         "pending_ret", "pending_result", "extra_us", "started", "cur_sync",
         "cur_code", "cur_obj", "cur_target",
         # the compiled step source
@@ -233,13 +231,8 @@ class _ThreadRt:
         "c_ops", "c_syncslots", "c_slotobjs",
     )
 
-    def __init__(
-        self,
-        behavior: Optional[ThreadBehavior],
-        ctx: Optional[ThreadCtx] = None,
-    ):
+    def __init__(self, behavior: Optional[ThreadBehavior]):
         self.behavior = behavior
-        self.ctx = ctx
         self.current_op: Optional[op_mod.Op] = None
         self.op_cost_us = 0
         self.op_call_time_us = 0
@@ -311,10 +304,6 @@ class Simulator:
         # compiled-step state (armed by _setup_fast)
         self._cost_rows: Optional[tuple] = None
         self._begin_burst: Optional[Callable[[SimThread, int], None]] = None
-        self._sched_pending: Optional[dict] = None
-        self._sched_bursts: Optional[dict] = None
-        self._heap: Optional[list] = None
-        self._evseq: Optional[Iterator[int]] = None
 
         self._finished = False
 
@@ -334,7 +323,7 @@ class Simulator:
             rng=program.make_rng(int(MAIN_THREAD_ID)),
         )
         behavior = LiveBehavior(program.main(ctx), perturb=self.perturb)
-        return self._run(behavior, ctx=ctx, program_name=program.name)
+        return self._run(behavior, program_name=program.name)
 
     def run_replay(self, plan: ReplayPlan) -> SimulationResult:
         """Replay a compiled trace (the paper's prediction run).
@@ -349,24 +338,20 @@ class Simulator:
         if int(MAIN_THREAD_ID) not in plan.steps:
             raise SimulationError("replay plan lacks the main thread (tid 1)")
         self._setup_fast()
-        return self._run(None, ctx=None, program_name=plan.program_name)
+        return self._run(None, program_name=plan.program_name)
 
     # ==================================================================
     # run loop
     # ==================================================================
 
     def _run(
-        self,
-        main_behavior: Optional[ThreadBehavior],
-        *,
-        ctx: Optional[ThreadCtx],
-        program_name: str,
+        self, main_behavior: Optional[ThreadBehavior], *, program_name: str
     ) -> SimulationResult:
         if self._finished:
             raise SimulationError("a Simulator instance runs exactly once")
         main = SimThread(tid=MAIN_THREAD_ID, func_name="main")
         self.threads[int(MAIN_THREAD_ID)] = main
-        self._rt[int(MAIN_THREAD_ID)] = _ThreadRt(behavior=main_behavior, ctx=ctx)
+        self._rt[int(MAIN_THREAD_ID)] = _ThreadRt(main_behavior)
         if self.probe is not None:
             self._emit_marker(Primitive.START_COLLECT, main)
         self.scheduler.register_thread(main, waker_cpu=None)
@@ -505,51 +490,57 @@ class Simulator:
         return ()
 
     # ==================================================================
-    # SchedulerListener: the live step source
+    # SchedulerListener: one step protocol, a step source per mode
     # ==================================================================
     #
     # Every burst ends in the closure ``_bind_burst`` builds: the
     # scheduler's end-of-burst bookkeeping and an opcode dispatch through
-    # ``self._fh``, a pre-bound copy of ``_HANDLERS``.  Live programs and
-    # replays differ only in where a thread's next step comes from.  Here
-    # ``need_step`` pulls it from the thread's LiveBehavior and lowers it
-    # into the runtime fields a compiled step fills; the burst's
-    # pre-dispatch hook (``_live_call``) resolves the op's sync object
-    # and writes the probe's CALL record, and ``_complete_now`` its RET
-    # record.  A replay shadows ``need_step`` and ``_complete_now`` with
-    # versions that read the plan's compiled arrays (below).
+    # ``self._fh``, a pre-bound copy of ``_HANDLERS``.  ``need_step``
+    # returns a blocked call that is due, and otherwise asks
+    # ``_next_step`` for the thread's next step, which ``_complete_now``
+    # also asks for when a call returns at once.  Live programs and
+    # replays differ only in those two: here ``_next_step`` pulls a step
+    # from the thread's LiveBehavior and lowers it into the runtime
+    # fields a compiled step fills; the burst's pre-dispatch hook
+    # (``_live_call``) resolves the op's sync object and writes the
+    # probe's CALL record, and ``_complete_now`` its RET record.  A
+    # replay shadows both with versions that read the plan's compiled
+    # arrays (below).
 
     def need_step(self, thread: SimThread) -> None:
         """The thread reached a processor with nothing in flight: return
         its blocked call if one is due, else fetch its next step."""
         rt = self._rt[thread.tid]
+        op = rt.current_op
+        if op is None:
+            self._next_step(thread, rt)
+            return
+        if not rt.pending_ret:
+            # same-microsecond preemption cancelled the completion
+            # event before the op applied — apply it now (rare)
+            thread.burst_action()
+            return
+        # deferred return of a blocking call: it returns now
+        rt.pending_ret = False
+        result = rt.pending_result
+        code = rt.cur_code
+        status = (
+            Status.TIMEOUT
+            if code == _CODE_COND_TIMEDWAIT and result is False
+            else Status.OK
+        )
+        # a wildcard join returns whom it joined
+        target = result if code == _CODE_THR_JOIN and isinstance(result, int) else None
+        self._complete_now(thread, rt, op, result, status, target=target)
+
+    def _next_step(self, thread: SimThread, rt: _ThreadRt) -> None:
+        """Fetch a live thread's next step and arm its burst."""
         if not rt.started:
             rt.started = True
             self._bind_burst(thread, rt, self._live_call)
             if thread.tid != MAIN_THREAD_ID:
                 # the interposed start routine announces the thread (§3.1)
                 self._emit_marker(Primitive.THREAD_START, thread)
-        op = rt.current_op
-        if op is not None:
-            if not rt.pending_ret:
-                # same-microsecond preemption cancelled the completion
-                # event before the op applied — apply it now (rare)
-                thread.burst_action()
-                return
-            # deferred return of a blocking call: it returns now
-            rt.pending_ret = False
-            result = rt.pending_result
-            code = rt.cur_code
-            status = (
-                Status.TIMEOUT
-                if code == _CODE_COND_TIMEDWAIT and result is False
-                else Status.OK
-            )
-            # a wildcard join returns whom it joined
-            target = result if code == _CODE_THR_JOIN and isinstance(result, int) else None
-            self._complete_now(thread, rt, op, result, status, target=target)
-            return
-
         result = rt.pending_result
         rt.pending_result = NO_RESULT
         step = rt.behavior.next_step(None if result is NO_RESULT else result)
@@ -603,7 +594,7 @@ class Simulator:
             )
         rt.current_op = None
         rt.pending_result = result
-        self.need_step(thread)
+        self._next_step(thread, rt)
 
     def _bind_burst(
         self,
@@ -618,7 +609,6 @@ class Simulator:
             t=thread,
             t_id=thread.tid,
             rt=rt,
-            events=self.scheduler._burst_events,
             running=ThreadState.RUNNING,
             sched=self.scheduler,
             engine=self.engine,
@@ -626,7 +616,6 @@ class Simulator:
             sim=self,
             pre=pre,
         ):
-            events.pop(t_id, None)
             t.burst_remaining_us = 0
             if t.state is not running:
                 raise SimulationError(
@@ -658,10 +647,11 @@ class Simulator:
     # the compiled step source (replays)
     # ==================================================================
     #
-    # A replay shadows ``need_step`` and ``_complete_now`` with loops over
-    # the plan's CompiledThread arrays: per-step costs come from a
-    # precomputed row, ``rt.cur_sync`` from the slots resolved once per
-    # run, and the probe plumbing is gone (a replay carries no probe).
+    # A replay shadows ``_next_step`` and ``_complete_now`` with versions
+    # that read the plan's CompiledThread arrays: per-step costs come
+    # from a precomputed row, ``rt.cur_sync`` from the slots resolved
+    # once per run, and the probe plumbing is gone (a replay carries no
+    # probe).
 
     def _setup_fast(self) -> None:
         op_cost = self.config.costs.op_cost
@@ -671,17 +661,11 @@ class Simulator:
             (0,) + tuple(op_cost(p, bound=b) for p in Primitive)
             for b in (False, True)
         )
-        # pre-bound hot collaborators (one attribute hop per step instead
-        # of two or three)
+        # pre-bound: one attribute hop per step instead of two
         self._begin_burst = self.scheduler.begin_burst
-        self._sched_pending = self.scheduler._switch_cost_pending
-        self._sched_bursts = self.scheduler._burst_events
-        self._heap = self.engine.queue._heap
-        self._evseq = self.engine.queue._counter
-        # shadow the listener entry point and the handlers' completion
-        # routine (instance attribute wins over the class methods, for the
-        # scheduler and the handlers)
-        self.need_step = self._need_step_fast  # type: ignore[method-assign]
+        # shadow the step source and the handlers' completion routine
+        # (instance attributes win over the class methods)
+        self._next_step = self._next_step_fast  # type: ignore[method-assign]
         self._complete_now = self._complete_now_fast  # type: ignore[method-assign]
 
     def _attach_fast(self, thread: SimThread, rt: _ThreadRt) -> None:
@@ -717,39 +701,9 @@ class Simulator:
         rt.pos = 0
         self._bind_burst(thread, rt)
 
-    def _need_step_fast(self, thread: SimThread) -> None:
-        """Replay ``need_step``: fetch/decode from the compiled arrays."""
-        rt = self._rt[int(thread.tid)]
-        op = rt.current_op
-        if op is not None:
-            if not rt.pending_ret:
-                # same-microsecond preemption cancelled the completion
-                # event before the op applied — apply it now (rare)
-                thread.burst_action()
-                return
-            # deferred return of a blocking call: place its event now
-            result = rt.pending_result
-            code = rt.cur_code
-            status = (
-                Status.TIMEOUT
-                if code == _CODE_COND_TIMEDWAIT and result is False
-                else Status.OK
-            )
-            if code == _CODE_THR_JOIN and isinstance(result, int):
-                target = result  # wildcard join: who we actually joined
-            else:
-                target = rt.cur_target
-            prim = op.primitive
-            if prim is not None:
-                self._ev_list.append(
-                    (thread.tid, prim, rt.op_call_time_us,
-                     self.engine.now_us, thread.last_cpu, rt.cur_obj,
-                     target, status, op.source)
-                )
-            rt.pending_ret = False
-            rt.current_op = None
+    def _next_step_fast(self, thread: SimThread, rt: _ThreadRt) -> None:
+        """Replay ``_next_step``: fetch/decode from the compiled arrays."""
         rt.pending_result = NO_RESULT
-
         codes = rt.c_codes
         if codes is None:
             self._attach_fast(thread, rt)
@@ -776,13 +730,7 @@ class Simulator:
         target: Optional[int] = None,
     ) -> None:
         """Replay ``_complete_now``: place the event from the cached step
-        constants and fetch the next instruction.
-
-        The fetch is inlined rather than delegated to
-        :meth:`_need_step_fast`: the op just completed synchronously, so
-        the deferred-return prologue there cannot apply (``current_op`` is
-        consumed here, ``pending_ret`` was never set).
-        """
+        constants, then fetch the next step."""
         prim = op.primitive
         if prim is not None:
             if target is None:
@@ -792,35 +740,7 @@ class Simulator:
                  self.engine.now_us, thread.last_cpu, rt.cur_obj,
                  target, status, op.source)
             )
-        rt.pending_result = NO_RESULT
-        i = rt.pos
-        rt.pos = i + 1
-        rt.current_op = rt.c_ops[i]
-        rt.cur_code = rt.c_codes[i]
-        rt.cur_obj = rt.c_objs[i]
-        rt.cur_target = rt.c_targets[i]
-        rt.cur_sync = rt.c_slotobjs[rt.c_syncslots[i]]
-        cost = rt.c_costs[i]
-        rt.op_cost_us = cost
-        # inlined Scheduler.begin_burst (kept in lockstep with it; the
-        # state check is omitted because the thread just completed a burst
-        # inside an atomic section, so it is RUNNING by construction)
-        duration = rt.c_works[i] + cost
-        pending = self._sched_pending
-        if pending:
-            duration += pending.pop(thread.tid, 0)
-        thread.burst_remaining_us = duration
-        engine = self.engine
-        end = engine.now_us + duration
-        ev = thread.burst_event
-        if ev is None:
-            ev = engine.queue.push(end, thread.burst_action, "burst")
-            thread.burst_event = ev
-        else:
-            ev.time_us = end
-            ev.seq = seq = next(self._evseq)
-            heappush(self._heap, (end, seq, ev))
-        self._sched_bursts[thread.tid] = (ev, end)
+        self._next_step_fast(thread, rt)
 
     # ==================================================================
     # KernelAPI (used by the sync objects)
@@ -1002,7 +922,7 @@ class Simulator:
         # internal scheduling point: no record, no cost, stay on the CPU
         rt.current_op = None
         rt.pending_result = None
-        self.need_step(thread)
+        self._next_step(thread, rt)
 
     def _h_delay(self, thread, rt, op: op_mod.Delay) -> None:
         rt.current_op = None  # not a library call: nothing to record
@@ -1133,7 +1053,6 @@ class Simulator:
             behavior: Optional[ThreadBehavior] = None
             func_name = meta.func_name
             bound = op.bound or meta.bound
-            ctx = None
         else:
             if op.func is None:
                 raise ProgramError("thr_create without a start routine")
@@ -1158,7 +1077,7 @@ class Simulator:
             bound_cpu=op.cpu,
         )
         self.threads[tid] = child
-        self._rt[tid] = _ThreadRt(behavior=behavior, ctx=ctx)
+        self._rt[tid] = _ThreadRt(behavior)
         if self.probe is not None:
             self.probe.note_thread_function(tid, func_name)
         self.scheduler.register_thread(child, waker_cpu=self._current_cpu)
@@ -1254,7 +1173,7 @@ class Simulator:
 # can follow the class).
 
 #: Op type → opcode: the index into the per-run pre-bound copy of
-#: ``_HANDLERS`` (``Simulator._fh``) that every burst dispatches through.
+#: ``_HANDLERS`` (``Simulator._fh``) through which every burst runs its op.
 _OPCODE_OF: Dict[type, int] = {
     cls: code for code, cls in enumerate(Simulator._HANDLERS)
 }

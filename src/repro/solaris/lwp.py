@@ -80,7 +80,6 @@ class SimLwp:
     runnable_since_us: int = 0
 
     # --- accounting ---------------------------------------------------
-    dispatches: int = 0
     quantum_expiries: int = 0
 
     #: Quantum-expiry closure cached by the scheduler (built once per LWP
@@ -89,7 +88,8 @@ class SimLwp:
         default=None, repr=False, compare=False
     )
 
-    #: The LWP's quantum ScheduledEvent, re-armed for every slice.
+    #: The LWP's quantum ScheduledEvent, re-armed for every slice; between
+    #: events, armed exactly while the LWP is ONPROC under time slicing.
     quantum_event: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property

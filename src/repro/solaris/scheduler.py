@@ -18,9 +18,11 @@ Scheduling happens at two levels, exactly as the paper describes:
   and Linux-CFS-style kernels instead.
 
 This class owns everything backend-independent: CPUs, the LWP pool,
-burst/quantum event arming (each thread's one burst event and each
-LWP's one quantum event are re-armed, never reallocated), the runnable
-map, block/wake plumbing and the atomic dispatch deferral.  The
+burst/quantum event arming, the runnable map, block/wake plumbing and
+the atomic dispatch deferral.  Each thread's one burst event and each
+LWP's one quantum event are re-armed, never reallocated, and are the
+only record of what is in flight: the engine disarms an event it runs,
+so an ``armed`` one holds the end or expiry still to come.  The
 backend's hot hooks are pre-bound to instance attributes in
 ``__init__`` — the same handler-binding discipline the simulator's
 interpreter uses — so backend dispatch adds one bound-method call, not
@@ -47,10 +49,10 @@ Visualizer (or anything else) reads them.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol
 
 from repro.core.config import SimConfig
-from repro.core.engine import Engine, ScheduledEvent
+from repro.core.engine import Engine
 from repro.core.errors import SimulationError
 from repro.core.ids import LwpId
 from repro.core.result import ResultBuilder
@@ -169,8 +171,6 @@ class Scheduler:
                 self._idle_pool.append(self._new_lwp(dedicated=False))
 
         # transient bookkeeping -------------------------------------------
-        self._burst_events: Dict[int, Tuple[ScheduledEvent, int]] = {}
-        self._quantum_events: Dict[int, Tuple[ScheduledEvent, int]] = {}
         self._switch_cost_pending: Dict[int, int] = {}
         #: dispatch deferral depth: >0 while an operation is being applied
         self._atomic_depth = 0
@@ -338,8 +338,6 @@ class Scheduler:
                 f"T{int(thread.tid)} woken while {thread.state.value}"
             )
         self._set_thread_state(thread, _RUNNABLE)
-        thread.runnable_since_us = self.engine.now_us
-        thread.enqueue_seq = next(self._seq)
 
         if thread.bound:
             lwp = thread.lwp
@@ -483,7 +481,6 @@ class Scheduler:
                 # usage-accounting backends stamp the dispatch (and may
                 # clear quantum_remaining_us to force a fresh slice below)
                 self._on_dispatch(lwp)
-        lwp.dispatches += 1
         lwp.last_thread_tid = tid
 
         self._set_thread_state(thread, _RUNNING, cpu.index)
@@ -521,29 +518,26 @@ class Scheduler:
         self._save_quantum_remainder(lwp)
         self._off_cpu(lwp)
         self._set_thread_state(thread, _RUNNABLE)
-        thread.runnable_since_us = self.engine.now_us
         self._lwp_runnable(lwp)
 
     def _save_burst_remainder(self, thread: SimThread) -> None:
-        entry = self._burst_events.pop(thread.tid, None)
-        if entry is None:
+        ev = thread.burst_event
+        if ev is None or ev.seq < 0:
             if thread.state is _RUNNING and self._atomic_depth == 0:
                 raise SimulationError(
                     f"RUNNING T{int(thread.tid)} has no burst event"
                 )
             thread.burst_remaining_us = 0
             return
-        handle, end_us = entry
-        handle.cancel()
-        thread.burst_remaining_us = end_us - self.engine.now_us
+        ev.cancel()
+        thread.burst_remaining_us = ev.time_us - self.engine.now_us
 
     def _save_quantum_remainder(self, lwp: SimLwp) -> None:
-        entry = self._quantum_events.pop(lwp.lwp_id, None)
-        if entry is None:
+        ev = lwp.quantum_event
+        if ev is None or ev.seq < 0:
             return
-        handle, expiry_us = entry
-        handle.cancel()
-        lwp.quantum_remaining_us = max(0, expiry_us - self.engine.now_us)
+        ev.cancel()
+        lwp.quantum_remaining_us = max(0, ev.time_us - self.engine.now_us)
 
     # ------------------------------------------------------------------
     # quanta
@@ -560,13 +554,10 @@ class Scheduler:
                 fire(l)
             lwp.quantum_action = action
         expiry = self.engine.now_us + lwp.quantum_remaining_us
-        handle = lwp.quantum_event
-        if handle is None:
-            handle = self.engine.queue.push(expiry, action, "quantum")
-            lwp.quantum_event = handle
+        if lwp.quantum_event is None:
+            lwp.quantum_event = self.engine.queue.push(expiry, action, "quantum")
         else:
-            self.engine.queue.repush(expiry, handle)
-        self._quantum_events[lwp.lwp_id] = (handle, expiry)
+            self.engine.queue.repush(expiry, lwp.quantum_event)
 
     def retick(self, lwp: SimLwp, remaining_us: int) -> None:
         """Pull a running LWP's armed quantum expiry forward to at most
@@ -575,17 +566,16 @@ class Scheduler:
         fires sooner.  Backends call this from ``on_contention`` to end
         a tickless stretch or to shorten a slice granted before
         contention grew."""
-        entry = self._quantum_events.get(lwp.lwp_id)
-        if entry is None:
+        ev = lwp.quantum_event
+        if ev is None or ev.seq < 0:
             return
-        if entry[1] <= self.engine.now_us + remaining_us:
+        if ev.time_us <= self.engine.now_us + remaining_us:
             return
         # re-arming the event leaves its armed entry dead in the heap
         lwp.quantum_remaining_us = remaining_us
         self._arm_quantum(lwp)
 
     def _quantum_expired(self, lwp: SimLwp) -> None:
-        self._quantum_events.pop(lwp.lwp_id, None)
         if lwp.state is not _ONPROC:
             return  # stale timer (LWP left the CPU at the same timestamp)
         lwp.quantum_expiries += 1
@@ -638,7 +628,7 @@ class Scheduler:
         cpu.lwp = lwp.cpu = None
         self._idle_cpus += 1
         self._set_thread_state(thread, _RUNNABLE)
-        thread.runnable_since_us = lwp.runnable_since_us = self.engine.now_us
+        lwp.runnable_since_us = self.engine.now_us
         self._set_lwp_state(lwp, _QUEUED)
         if self._idle_cpus == 1 and not self._atomic_depth:
             head = self._select(self._runnable.values())[0]
@@ -661,20 +651,16 @@ class Scheduler:
             raise SimulationError(
                 f"begin_burst on {thread.state.value} T{int(thread.tid)}"
             )
-        tid = int(thread.tid)
         pending = self._switch_cost_pending
         if pending:
-            duration_us += pending.pop(tid, 0)
+            duration_us += pending.pop(thread.tid, 0)
         thread.burst_remaining_us = duration_us
-        engine = self.engine
-        end = engine.now_us + duration_us
-        ev = thread.burst_event
-        if ev is None:
-            ev = engine.queue.push(end, thread.burst_action, "burst")
-            thread.burst_event = ev
+        queue = self.engine.queue
+        end = self.engine.now_us + duration_us
+        if thread.burst_event is None:
+            thread.burst_event = queue.push(end, thread.burst_action, "burst")
         else:
-            engine.queue.repush(end, ev)
-        self._burst_events[tid] = (ev, end)
+            queue.repush(end, thread.burst_event)
 
     # ------------------------------------------------------------------
     # blocking / waking / exiting / yielding (called during op application)
@@ -715,8 +701,6 @@ class Scheduler:
             self._kernel_dispatch()
             return
         self._set_thread_state(thread, _RUNNABLE)
-        thread.runnable_since_us = self.engine.now_us
-        thread.enqueue_seq = next(self._seq)
         self._save_quantum_remainder(lwp)
         lwp.thread = None
         thread.lwp = None

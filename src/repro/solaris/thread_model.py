@@ -86,17 +86,10 @@ class SimThread:
     #: Remaining CPU time of the burst in flight when the LWP was preempted.
     burst_remaining_us: int = 0
 
-    #: Monotonic sequence number used for FIFO tie-breaks in run queues.
-    enqueue_seq: int = 0
-
     # --- accounting for the Visualizer popup (§3.3) ------------------------
     start_time_us: Optional[int] = None
     end_time_us: Optional[int] = None
     created_at_us: int = 0
-
-    #: Time at which the thread last entered the RUNNABLE state (for
-    #: starvation boosts and queue statistics).
-    runnable_since_us: int = 0
 
     #: Burst-completion closure (``Simulator._bind_burst``), built once
     #: per thread and armed for every burst.
@@ -105,7 +98,8 @@ class SimThread:
     )
 
     #: The thread's burst ScheduledEvent, re-armed by ``begin_burst``
-    #: for every burst.
+    #: for every burst; between events, armed exactly while the thread
+    #: is RUNNING.
     burst_event: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -126,13 +126,13 @@ class Rig:
             if lwp is None:
                 cells.append("-")
                 continue
-            armed = self.sched._quantum_events.get(int(lwp.lwp_id))
-            if armed is None:
+            ev = lwp.quantum_event
+            if ev is None or not ev.armed:
                 expiry = "none"
-            elif armed[1] - self.engine.now_us >= TICKLESS_SLICE_US // 2:
+            elif ev.time_us - self.engine.now_us >= TICKLESS_SLICE_US // 2:
                 expiry = "~"
             else:
-                expiry = str(armed[1])
+                expiry = str(ev.time_us)
             cells.append(f"{self.names[int(lwp.lwp_id)]}@{expiry}")
         return " ".join(cells)
 

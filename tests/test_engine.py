@@ -127,3 +127,65 @@ class TestEngine:
         eng.schedule_at(1, lambda: seen.append("second"))
         eng.run()
         assert seen == ["first", "second", "nested"]
+
+
+class TestArmedContract:
+    """An event is its own record of being in flight: ``armed`` holds
+    exactly while it is queued to run.  The scheduler reads a thread's
+    burst event and an LWP's quantum event through this instead of
+    keeping a map of them, so both ways of running an event keep it."""
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_armed_while_queued_only(self, drive):
+        eng = Engine()
+        inside = []
+        ev = eng.schedule_at(5, lambda: inside.append(ev.armed))
+        assert ev.armed
+        getattr(eng, drive)()
+        assert inside == [False]
+        assert not ev.armed
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_rearmed_inside_its_action_stays_armed(self, drive):
+        eng = Engine()
+        fired = []
+
+        def action():
+            fired.append(eng.now_us)
+            if len(fired) == 1:
+                eng.queue.repush(eng.now_us + 10, ev)
+
+        ev = eng.schedule_at(5, action)
+        getattr(eng, drive)()
+        if drive == "step":
+            assert fired == [5]
+            assert ev.armed and ev.time_us == 15
+            assert eng.step()
+        assert fired == [5, 15]
+        assert not ev.armed
+
+    def test_cancel_after_it_ran_is_harmless(self):
+        eng = Engine()
+        seen = []
+        ev = eng.schedule_at(5, lambda: seen.append("a"))
+        eng.schedule_at(10, lambda: seen.append("b"))
+        assert eng.step()
+        ev.cancel()
+        assert not ev.armed
+        assert len(eng.queue) == 1
+        eng.run()
+        assert seen == ["a", "b"]
+        # the late cancel leaves the event free to be re-armed
+        eng.queue.repush(20, ev)
+        assert ev.armed
+        eng.run()
+        assert seen == ["a", "b", "a"]
+
+    def test_cancel_disarms_a_queued_event(self):
+        eng = Engine()
+        seen = []
+        ev = eng.schedule_at(5, lambda: seen.append("a"))
+        ev.cancel()
+        assert not ev.armed
+        eng.run()
+        assert seen == [] and eng.events_executed == 0

@@ -15,6 +15,13 @@ event, recompute every cached value from ``sched._runnable`` and
 ``sched.cpus``: counts and orders must be equal, and each armed-slice
 record must not promise more than the armed timer holds: a re-tick it
 lets ``on_contention`` skip would have been a no-op.
+
+The mechanism also keeps no map of what is in flight: a thread's burst
+event and an LWP's quantum event say themselves whether they are armed
+(the engine disarms an event it runs).  So after every event a thread
+must be RUNNING exactly when its burst event is armed, and an LWP ONPROC
+under time slicing exactly when its quantum event is armed; the burst
+and quantum remainders a preemption saves are read from those events.
 """
 
 from __future__ import annotations
@@ -28,13 +35,10 @@ from repro.core.config import ThreadPolicy
 from repro.core.predictor import compile_trace
 from repro.core.simulator import Simulator
 from repro.sched.base import TICKLESS_SLICE_US
-from repro.sched.cfs import (
-    _NO_FAIR,
-    MIN_GRANULARITY_US,
-    SCHED_LATENCY_US,
-    CfsBackend,
-)
+from repro.sched.cfs import _NO_FAIR, MIN_GRANULARITY_US, SCHED_LATENCY_US
 from repro.sched.clutch import DECAY_SHIFT, MIN_RETICK_US, QUANTUM_US
+from repro.solaris.lwp import LwpState
+from repro.solaris.thread_model import ThreadState
 from repro.workloads import get_workload
 
 WORKLOADS = ("water", "ocean")
@@ -63,6 +67,12 @@ def _variant(variant: str, cpus: int, workers) -> SimConfig:
         })
     if variant == "lwps=2":
         return SimConfig(cpus=cpus, lwps=2)
+    if variant == "bound":
+        return SimConfig(cpus=cpus, thread_policies={
+            w: ThreadPolicy(bound=True) for w in workers
+        })
+    if variant == "no-slicing":
+        return SimConfig(cpus=cpus, time_slicing=False)
     return SimConfig(cpus=cpus)
 
 
@@ -70,7 +80,11 @@ def _same(kept, expected) -> bool:
     return len(kept) == len(expected) and all(a is b for a, b in zip(kept, expected))
 
 
-def check_mechanism(sched, seen: Counter) -> None:
+def _armed(ev) -> bool:
+    return ev is not None and ev.armed
+
+
+def check_mechanism(sched, threads, seen: Counter) -> None:
     queued = list(sched._runnable.values())
     pinned = [0] * len(sched.cpus)
     for lwp in queued:
@@ -88,6 +102,16 @@ def check_mechanism(sched, seen: Counter) -> None:
         )
     seen["rt queued"] += sched.queued_rt > 0
     seen["pinned queued"] += any(pinned)
+    # each in-flight event is its own record
+    for thread in threads:
+        armed = _armed(thread.burst_event)
+        assert armed == (thread.state is ThreadState.RUNNING), thread
+        seen["burst armed"] += armed
+    slicing = sched.config.time_slicing
+    for lwp in sched.lwps + sched.retired_lwps:
+        armed = _armed(lwp.quantum_event)
+        assert armed == (slicing and lwp.state is LwpState.ONPROC), lwp
+        seen["quantum armed"] += armed
 
 
 def check_cfs(sched, seen: Counter) -> None:
@@ -111,13 +135,13 @@ def check_cfs(sched, seen: Counter) -> None:
         assert cfs._base_lo[i] == cfs._base_hi[i] == base
         in_play.append(base + now)
         sized = cfs._sized[i]
-        entry = sched._quantum_events.get(lid)
-        if sized and entry is not None:
+        if sized and _armed(running.quantum_event):
             slice_us = (
                 TICKLESS_SLICE_US if sized == 1
                 else max(MIN_GRANULARITY_US, SCHED_LATENCY_US // sized)
             )
-            assert entry[1] <= max(now + MIN_GRANULARITY_US, since[lid] + slice_us)
+            expiry = running.quantum_event.time_us
+            assert expiry <= max(now + MIN_GRANULARITY_US, since[lid] + slice_us)
             seen["sized slice"] += 1
     if cfs._floor_at == now and in_play:
         assert cfs._min_vruntime >= min(in_play)
@@ -148,10 +172,10 @@ def check_clutch(sched, seen: Counter) -> None:
         running = cpu.lwp
         if running is None or running.rt or not clutch._settled[cpu.index]:
             continue
-        entry = sched._quantum_events.get(running.lwp_id)
-        if entry is not None:
+        if _armed(running.quantum_event):
             since = clutch._since_us[running.lwp_id]
-            assert entry[1] <= max(now + MIN_RETICK_US, since + QUANTUM_US)
+            expiry = running.quantum_event.time_us
+            assert expiry <= max(now + MIN_RETICK_US, since + QUANTUM_US)
             seen["settled slice"] += 1
 
 
@@ -160,12 +184,13 @@ def stepped_replay(plan, config: SimConfig, seen: Counter):
     state after each; the answer must equal an unstepped replay's."""
     sim = Simulator(config)
     sched, engine = sim.scheduler, sim.engine
-    check = check_cfs if isinstance(sched.backend, CfsBackend) else check_clutch
+    check = {"cfs": check_cfs, "clutch": check_clutch}.get(config.scheduler)
 
     def run():
         while engine.step():
-            check_mechanism(sched, seen)
-            check(sched, seen)
+            check_mechanism(sched, sim.threads.values(), seen)
+            if check is not None:
+                check(sched, seen)
             seen["events"] += 1
         return engine.now_us
 
@@ -175,8 +200,10 @@ def stepped_replay(plan, config: SimConfig, seen: Counter):
     return result
 
 
-@pytest.mark.parametrize("variant", ["plain", "pinned", "rt", "lwps=2"])
-@pytest.mark.parametrize("scheduler", ["cfs", "clutch"])
+@pytest.mark.parametrize(
+    "variant", ["plain", "pinned", "rt", "lwps=2", "bound", "no-slicing"]
+)
+@pytest.mark.parametrize("scheduler", ["solaris", "cfs", "clutch"])
 def test_cached_state_matches_a_recount_after_every_event(plans, scheduler, variant):
     seen: Counter = Counter()
     for name in WORKLOADS:
@@ -185,15 +212,19 @@ def test_cached_state_matches_a_recount_after_every_event(plans, scheduler, vari
             config = _variant(variant, cpus, workers).with_scheduler(scheduler)
             stepped_replay(plan, config, seen)
     assert seen["events"] > 1_000
+    assert seen["burst armed"] > 0
     # the branches the variant exists for were reached
     if variant == "rt":
         assert seen["rt queued"] > 0
     if variant == "pinned":
         assert seen["pinned queued"] > 0
+    if variant == "no-slicing":
+        return  # no quantum timer, so no armed-slice record to reach
+    assert seen["quantum armed"] > 0
     if scheduler == "cfs":
         assert seen["sized slice"] > 0 and seen["floor held"] > 0
         assert seen["all sized"] > 0
-    else:
+    elif scheduler == "clutch":
         assert seen["settled slice"] > 0
 
 
