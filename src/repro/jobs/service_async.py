@@ -48,7 +48,7 @@ import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.jobs.engine import JobEngine
 from repro.jobs.resilience import AdmissionGate
@@ -233,16 +233,17 @@ class AsyncPredictionServer:
             return None
         return _Request(method, path, version, headers)
 
-    async def _body_chunks(self, reader, request: _Request) -> AsyncIterator[bytes]:
-        """Yield the request body as it arrives, enforcing the size cap.
+    async def _read_body(self, reader, request: _Request) -> bytes:
+        """Read the request body as it arrives, enforcing the size cap.
 
-        Raises :class:`ServiceError` 413 mid-stream when the cap is hit
-        (the caller must then close the connection — the rest of the
-        body is unread) and 400 on framing errors.
+        Raises :class:`ServiceError` 413 as soon as the cap is hit
+        (mid-stream for a chunked body; the caller must then close the
+        connection — the rest of the body is unread) and 400 on framing
+        errors.
         """
         cap = self.service.max_body_bytes
+        body = bytearray()
         if "chunked" in request.headers.get("transfer-encoding", "").lower():
-            total = 0
             while True:
                 size_line = await reader.readline()
                 try:
@@ -254,15 +255,13 @@ class AsyncPredictionServer:
                         trailer = await reader.readline()
                         if trailer in (b"\r\n", b"\n", b""):
                             break
-                    request.body_consumed = True
-                    return
-                total += size
-                if total > cap:
+                    break
+                if len(body) + size > cap:
                     self.service.count_rejected_body()
                     raise ServiceError(
                         413, f"body exceeds the {cap}-byte cap", extra={"cap": cap}
                     )
-                yield await reader.readexactly(size)
+                body += await reader.readexactly(size)
                 await reader.readexactly(2)  # CRLF after each chunk
         else:
             raw = request.headers.get("content-length", "0")
@@ -279,23 +278,20 @@ class AsyncPredictionServer:
                     f"body of {length} bytes exceeds the {cap}-byte cap",
                     extra={"cap": cap},
                 )
-            remaining = length
-            while remaining > 0:
-                chunk = await reader.read(min(_READ_CHUNK, remaining))
+            while len(body) < length:
+                chunk = await reader.read(min(_READ_CHUNK, length - len(body)))
                 if not chunk:
                     raise ConnectionError("client closed mid-body")
-                remaining -= len(chunk)
-                yield chunk
-            request.body_consumed = True
+                body += chunk
+        request.body_consumed = True
+        return bytes(body)
 
     async def _read_json(self, reader, request: _Request) -> Dict[str, Any]:
-        body = bytearray()
-        async for chunk in self._body_chunks(reader, request):
-            body.extend(chunk)
+        body = await self._read_body(reader, request)
         if not body:
             return {}
         try:
-            parsed = json.loads(bytes(body))
+            parsed = json.loads(body)
         except ValueError as exc:
             raise ServiceError(400, f"body is not valid JSON: {exc}")
         if not isinstance(parsed, dict):
@@ -390,16 +386,15 @@ class AsyncPredictionServer:
         return snapshot
 
     async def _ingest_trace(self, request: _Request, reader) -> Dict[str, Any]:
-        chunks = [chunk async for chunk in self._body_chunks(reader, request)]
+        body = await self._read_body(reader, request)
         # salvaging, spooling and compiling run on a pool worker; the
         # engine call blocks while the pool is full, so it is made from
         # an executor thread, never from the loop
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, self.service.ingest, b"".join(chunks)
-        )
+        return await loop.run_in_executor(self._executor, self.service.ingest, body)
 
-    async def _predict(self, request: _Request, reader) -> Dict[str, Any]:
+    def _admit(self) -> None:
+        """Take an admission slot, or shed the request as ``429``."""
         if not self.gate.try_enter():
             self.service.count_shed()
             raise ServiceError(
@@ -409,6 +404,9 @@ class AsyncPredictionServer:
                 retry_after_s=self.gate.retry_after_s,
                 extra={"admission": self.gate.snapshot()},
             )
+
+    async def _predict(self, request: _Request, reader) -> Dict[str, Any]:
+        self._admit()
         release_on_exit = True
         try:
             body = await self._read_json(reader, request)
@@ -452,15 +450,7 @@ class AsyncPredictionServer:
         """Lint shares predict's admission gate (a ``whatif`` grid costs
         real engine work) but not its deadline machinery — findings are
         all-or-nothing, there is no partial envelope to salvage."""
-        if not self.gate.try_enter():
-            self.service.count_shed()
-            raise ServiceError(
-                429,
-                f"server at capacity ({self.gate.capacity} requests in flight); "
-                "retry later",
-                retry_after_s=self.gate.retry_after_s,
-                extra={"admission": self.gate.snapshot()},
-            )
+        self._admit()
         try:
             body = await self._read_json(reader, request)
             loop = asyncio.get_running_loop()

@@ -595,22 +595,28 @@ class TestAsyncService:
         with BackgroundServer(inline_service) as bg:
             _assert_oversize_body_is_413_both_framings(bg.port)
 
+    @pytest.mark.parametrize("path", ["/predict", "/lint"])
     def test_shed_429_with_retry_after_under_saturation(
-        self, inline_service, log_text
+        self, inline_service, log_text, path
     ):
+        """Both endpoints behind the admission gate shed alike."""
         release = threading.Event()
-        real_predict = inline_service.predict
+        name = path.lstrip("/")
+        real = getattr(inline_service, name)
 
-        def slow_predict(request, *, deadline_s=None):
+        def slow(request, **kwargs):
             release.wait(10.0)
-            return real_predict(request, deadline_s=deadline_s)
+            return real(request, **kwargs)
 
-        inline_service.predict = slow_predict
-        body = json.dumps({"log": log_text, "cpus": [2]})
+        setattr(inline_service, name, slow)
+        request = {"log": log_text}
+        if path == "/predict":
+            request["cpus"] = [2]
+        body = json.dumps(request)
         results = []
 
         def fire():
-            results.append(_request(bg.port, "POST", "/predict", body=body))
+            results.append(_request(bg.port, "POST", path, body=body))
 
         with BackgroundServer(inline_service, max_inflight=2) as bg:
             threads = [threading.Thread(target=fire) for _ in range(6)]
